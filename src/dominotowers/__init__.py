@@ -34,8 +34,6 @@ from .series import (
     build_H,
     build_R,
     expand_geometric,
-    series_add,
-    series_mul,
 )
 from .asymptotics import (
     ConvergenceReport,

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: count, table, theta, verify, enumerate, series, oeis-check.
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O or
-network failure.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error or out of
+memory, 3 I/O or network failure.
 """
 
 from __future__ import annotations
@@ -355,7 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         "series": cmd_series,
         "oeis-check": cmd_oeis_check,
     }
-    return handlers[args.command](args, config)
+    try:
+        return handlers[args.command](args, config)
+    except MemoryError:
+        print("error: out of memory; try smaller arguments", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

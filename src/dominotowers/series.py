@@ -1,14 +1,18 @@
 """Truncated formal power series with exact integer coefficients.
 
 Every generating function used here is a sum of products of geometric
-factors x^a / (1 - lam*x^a) with lam in {1, 2}, so expansions never need
-rational coefficients or polynomial division.  Arithmetic truncates to the
+factors x^a / (1 - lam*x^a) with lam in {1, 2}.  Such a factor is a linear
+recurrence, so multiplying a series by it is the O(N) filter
+out[n] = s[n-a] + lam*out[n-a] (`GeometricFactor.apply`).  That filter is
+the only product here: `*` takes an integer only, and no expansion needs
+rational coefficients or polynomial division.  Addition truncates to the
 smaller operand order and never extends it silently.
 
 Each family can be built two ways: from the closed form (sums over subsets
 of {1..b-1}, enumerated by binary counter, practical up to b = 12) and from
-the functional equation that the recurrence induces.  The functional path is
-the production one; the closed forms exist to cross-check it.
+the functional equation that the recurrence induces, evaluated with running
+sums so each base costs a constant number of filters.  The functional path
+is the production one; the closed forms exist to cross-check it.
 """
 
 from __future__ import annotations
@@ -80,28 +84,12 @@ class TruncatedSeries:
         return self + (-1) * other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries(tuple(other * a for a in self.coeffs))
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
+        """Scalar multiple; series products go through `GeometricFactor.apply`."""
+        if not isinstance(other, int):
+            return NotImplemented
+        return TruncatedSeries(tuple(other * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-
-def series_add(s1: TruncatedSeries, s2: TruncatedSeries) -> TruncatedSeries:
-    return s1 + s2
-
-
-def series_mul(s1: TruncatedSeries, s2: TruncatedSeries) -> TruncatedSeries:
-    return s1 * s2
 
 
 @dataclass(frozen=True)
@@ -117,18 +105,37 @@ class GeometricFactor:
         if self.lam not in (1, 2):
             raise ValueError("scale must be 1 or 2")
 
+    def apply(self, s: TruncatedSeries) -> TruncatedSeries:
+        """s times this factor, by the filter out[n] = s[n-a] + lam*out[n-a]."""
+        a, lam, cs = self.a, self.lam, s.coeffs
+        out = [0] * len(cs)
+        for n in range(a, len(cs)):
+            out[n] = cs[n - a] + lam * out[n - a]
+        return TruncatedSeries(tuple(out))
+
 
 def expand_geometric(factor: GeometricFactor, order: int) -> TruncatedSeries:
-    coeffs = [0] * (order + 1)
-    power = 1
-    for idx in range(factor.a, order + 1, factor.a):
-        coeffs[idx] = power
-        power *= factor.lam
-    return TruncatedSeries(tuple(coeffs))
+    return factor.apply(TruncatedSeries.constant(1, order))
 
 
-def _geo(a: int, lam: int, order: int) -> TruncatedSeries:
-    return expand_geometric(GeometricFactor(a, lam), order)
+def _check(b: int, method: str = FUNCTIONAL) -> None:
+    if b < 1:
+        raise ValueError("b must be at least 1")
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}")
+    if method == CLOSED_FORM and b > MAX_CLOSED_FORM_B:
+        raise SubsetBlowup(
+            f"closed form enumerates 2^{b - 1} subsets; limit is b={MAX_CLOSED_FORM_B}"
+        )
+
+
+def _supporting_chain(b: int, s: TruncatedSeries) -> TruncatedSeries:
+    """G_b * s: the sum over i < b of s times prod_{j<=i} x^(b-j)/(1-x^(b-j))."""
+    total = TruncatedSeries.zero(s.order)
+    for j in range(1, b):
+        s = GeometricFactor(b - j, 1).apply(s)
+        total = total + s
+    return total
 
 
 def build_G(b: int, order: int) -> TruncatedSeries:
@@ -136,57 +143,52 @@ def build_G(b: int, order: int) -> TruncatedSeries:
 
     b=1 is the empty sum, the zero series.
     """
-    if b < 1:
-        raise ValueError("b must be at least 1")
-    total = TruncatedSeries.zero(order)
-    product = TruncatedSeries.constant(1, order)
-    for j in range(1, b):
-        product = product * _geo(b - j, 1, order)
-        total = total + product
-    return total
+    _check(b)
+    return _supporting_chain(b, TruncatedSeries.constant(1, order))
 
 
-def _check_method(method: str) -> None:
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
+def _subsets(members):
+    """All subsets of members as tuples in the given order, by binary counter."""
+    members = tuple(members)
+    for mask in range(1 << len(members)):
+        yield tuple(m for pos, m in enumerate(members) if mask >> pos & 1)
 
 
-def _subsets(upper: int):
-    """All subsets of {1..upper} as sorted tuples, by binary counter."""
-    for mask in range(1 << upper):
-        yield tuple(k for k in range(1, upper + 1) if mask >> (k - 1) & 1)
+def _stacks(b: int, order: int):
+    """Yield H_1..H_b from H_i = x^i/(1-x^i) * (1 + sum_{j<i} (2(i-j)+1) H_j).
 
-
-def _functional_H_list(b: int, order: int) -> list[TruncatedSeries]:
-    hs: list[TruncatedSeries] = [TruncatedSeries.zero(order)]
+    The inner sum is (2i+1)*sum H_j - 2*sum j*H_j, kept as two running sums.
+    """
+    sum_h = sum_jh = TruncatedSeries.zero(order)
     for i in range(1, b + 1):
-        inner = TruncatedSeries.constant(1, order)
-        for j in range(1, i):
-            inner = inner + (2 * (i - j) + 1) * hs[j]
-        hs.append(_geo(i, 1, order) * inner)
-    return hs
+        h = GeometricFactor(i, 1).apply(1 + (2 * i + 1) * sum_h - 2 * sum_jh)
+        yield h
+        sum_h = sum_h + h
+        sum_jh = sum_jh + i * h
+
+
+def _stack_and_skew(b: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(H_b, R_b) from R_i = x^i/(1-2x^i) * (H_i + sum_{j<i} (2R_j + H_j))."""
+    sum_rh = TruncatedSeries.zero(order)
+    for i, h in enumerate(_stacks(b, order), start=1):
+        r = GeometricFactor(i, 2).apply(h + sum_rh)
+        sum_rh = sum_rh + 2 * r + h
+    return h, r
 
 
 def build_H(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     """Stack series for base b."""
-    if b < 1:
-        raise ValueError("b must be at least 1")
-    _check_method(method)
+    _check(b, method)
     if method == FUNCTIONAL:
-        return _functional_H_list(b, order)[b]
-    if b > MAX_CLOSED_FORM_B:
-        raise SubsetBlowup(
-            f"closed form enumerates 2^{b - 1} subsets; limit is b={MAX_CLOSED_FORM_B}"
-        )
+        *_, h = _stacks(b, order)
+        return h
     total = TruncatedSeries.zero(order)
-    for subset in _subsets(b - 1):
-        ks = subset + (b,)
+    for subset in _subsets(range(1, b)):
         term = TruncatedSeries.constant(1, order)
-        for j in range(len(subset)):
-            weight = 2 * (ks[j + 1] - ks[j]) + 1
-            term = term * (weight * _geo(ks[j], 1, order))
+        for k, above in zip(subset, subset[1:] + (b,)):
+            term = (2 * (above - k) + 1) * GeometricFactor(k, 1).apply(term)
         total = total + term
-    return _geo(b, 1, order) * total
+    return GeometricFactor(b, 1).apply(total)
 
 
 def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
@@ -196,41 +198,23 @@ def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     S of {j..b-1} of prod 2x^k/(1-2x^k); the summand index is read as j
     throughout, which is what the numbers require.
     """
-    if b < 1:
-        raise ValueError("b must be at least 1")
-    _check_method(method)
+    _check(b, method)
     if method == FUNCTIONAL:
-        hs = _functional_H_list(b, order)
-        rs: list[TruncatedSeries] = [TruncatedSeries.zero(order)]
-        for i in range(1, b + 1):
-            inner = hs[i]
-            for j in range(1, i):
-                inner = inner + 2 * rs[j] + hs[j]
-            rs.append(_geo(i, 2, order) * inner)
-        return rs[b]
-    if b > MAX_CLOSED_FORM_B:
-        raise SubsetBlowup(
-            f"closed form enumerates 2^{b - 1} subsets; limit is b={MAX_CLOSED_FORM_B}"
-        )
+        return _stack_and_skew(b, order)[1]
     total = TruncatedSeries.zero(order)
     for j in range(1, b + 1):
         h_j = build_H(j, order, CLOSED_FORM)
-        subset_sum = TruncatedSeries.zero(order)
-        members = list(range(j, b))
-        for mask in range(1 << len(members)):
-            term = TruncatedSeries.constant(1, order)
-            for pos, k in enumerate(members):
-                if mask >> pos & 1:
-                    term = term * (2 * _geo(k, 2, order))
-            subset_sum = subset_sum + term
-        total = total + h_j * subset_sum
-    return _geo(b, 2, order) * total
+        for subset in _subsets(range(j, b)):
+            term = h_j
+            for k in subset:
+                term = 2 * GeometricFactor(k, 2).apply(term)
+            total = total + term
+    return GeometricFactor(b, 2).apply(total)
 
 
 def build_C(b: int, order: int) -> TruncatedSeries:
-    """Convex-tower series: (G + 1) * (2R + H)."""
-    if b < 1:
-        raise ValueError("b must be at least 1")
-    left = build_G(b, order) + 1
-    right = 2 * build_R(b, order) + build_H(b, order)
-    return left * right
+    """Convex-tower series: (G + 1) * (2R + H), with G applied as its chain."""
+    _check(b)
+    h, r = _stack_and_skew(b, order)
+    right = 2 * r + h
+    return right + _supporting_chain(b, right)

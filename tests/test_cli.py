@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dominotowers import fixtures
+from dominotowers import fixtures, recurrences
 from dominotowers.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -37,6 +37,15 @@ class TestCount:
         code, _, err = run(capsys, "count", "c", "--b", "2", "--n", "4", "--k", "3")
         assert code == 2
         assert "only defined" in err
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(recurrences, "family_value", exhausted)
+        code, out, err = run(capsys, "count", "g", "--b", "2", "--n", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "memory" in err
 
 
 class TestTable:
@@ -142,6 +151,30 @@ class TestEnumerate:
 
 
 class TestSeries:
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("series_c_b4_o64.txt", ("c", "--b", "4", "--order", "64")),
+            (
+                "series_r_b3_o40_closed.txt",
+                ("r", "--b", "3", "--order", "40", "--method", "closed-form"),
+            ),
+        ],
+    )
+    def test_golden_bytes(self, capsys, golden, argv):
+        code, out, _ = run(capsys, "series", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_convex_at_order_cap(self, capsys, monkeypatch):
+        # Private tables: later growth would refill these 4096 columns wide.
+        monkeypatch.setattr(recurrences, "_tables", {})
+        recurrences.table("g", 4096, 4)  # one fill, not one per c(4, m) step
+        code, out, _ = run(capsys, "series", "c", "--b", "4", "--order", "4096")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 4097
+        assert lines[-1] == f"4096 {recurrences.c(4, 4096)}"
+
     def test_skew_coefficients(self, capsys):
         code, out, _ = run(capsys, "series", "r", "--b", "1", "--order", "5")
         assert code == 0
