@@ -10,15 +10,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import asymptotics, oeis, recurrences, series
+from . import asymptotics, model, oeis, recurrences, series
 from .enumerator import (
     DEFAULT_HARD_CAP,
     CapExceeded,
     EnumerationRequest,
-    census,
+    census,  # unused here; bench/tracer.py patches cli.census
     enumerate_towers,
 )
 from .model import TowerClass, dissect, recombine
@@ -163,83 +164,78 @@ def cmd_theta(args, config: RunConfig) -> int:
 
 
 def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
-    """All cross-checks up to max_n; (name, passed, detail) per check."""
+    """All cross-checks up to max_n; (name, passed, detail) per check.
+
+    Each (n, b) is enumerated once: every shape joins that base's set of
+    distinct shapes, is classified, and, when convex, dissected and
+    recombined.
+    """
     from math import comb
 
-    checks: list[tuple[str, bool, str]] = []
-
-    mismatches: list[str] = []
+    count_mismatches: list[str] = []
+    family_mismatches: list[str] = []
+    dissect_mismatches: list[str] = []
     shapes_checked = 0
-    top_level_total = 0
+    total = 0
     for n in range(1, max_n + 1):
         total = 0
+        by_base: dict[int, Counter[TowerClass]] = {}
+        convex_by_width: Counter[int] = Counter()
         for b in range(1, n + 1):
             seen = set()
+            labels = by_base[b] = Counter()
             for shape in enumerate_towers(EnumerationRequest(n=n, b=b)):
                 seen.add(shape)
+                label = model.classify(shape)
+                labels[label] += 1
+                if label is TowerClass.NON_CONVEX:
+                    continue
+                convex_by_width[shape.max_row_b] += 1
+                if recombine(dissect(shape)) != shape:
+                    dissect_mismatches.append(f"round trip failed for {shape}")
             expected = comb(2 * n - 1, n - b)
             total += len(seen)
             shapes_checked += len(seen)
             if len(seen) != expected:
-                mismatches.append(f"count({n},{b}) = {len(seen)} != {expected}")
+                count_mismatches.append(f"count({n},{b}) = {len(seen)} != {expected}")
         if total != 4 ** (n - 1):
-            mismatches.append(f"total({n}) = {total} != {4 ** (n - 1)}")
-        top_level_total = total
-    checks.append(
-        (
-            "known counts: C(2n-1, n-b) per base and 4^(n-1) per size",
-            not mismatches,
-            f"{shapes_checked} shapes checked ({top_level_total} at n={max_n})"
-            if not mismatches else "; ".join(mismatches[:10]),
-        )
-    )
-
-    family_mismatches: list[str] = []
-    for n in range(1, max_n + 1):
-        by_base = census(EnumerationRequest(n=n, group_by="base"))
-        by_width = census(EnumerationRequest(n=n, group_by="max_row"))
-        stacks = by_base.by_group(TowerClass.STACK)
-        skews = by_base.by_group(TowerClass.RIGHT_SKEWED)
-        mirrors = by_base.by_group(TowerClass.LEFT_SKEWED)
-        convex = by_width.by_group("convex")
+            count_mismatches.append(f"total({n}) = {total} != {4 ** (n - 1)}")
         for b in range(1, n + 1):
             pairs = (
-                ("h", stacks.get(b, 0), recurrences.h(b, n)),
-                ("r", skews.get(b, 0), recurrences.r(b, n)),
-                ("mirror", mirrors.get(b, 0), recurrences.r(b, n)),
-                ("c", convex.get(b, 0), recurrences.c(b, n)),
+                ("h", by_base[b][TowerClass.STACK], recurrences.h(b, n)),
+                ("r", by_base[b][TowerClass.RIGHT_SKEWED], recurrences.r(b, n)),
+                ("mirror", by_base[b][TowerClass.LEFT_SKEWED], recurrences.r(b, n)),
+                ("c", convex_by_width[b], recurrences.c(b, n)),
             )
             for name, got, expected in pairs:
                 if got != expected:
                     family_mismatches.append(
                         f"{name}({b},{n}): census {got} != recurrence {expected}"
                     )
-    checks.append(
-        (
+    return [
+        _check(
+            "known counts: C(2n-1, n-b) per base and 4^(n-1) per size",
+            count_mismatches,
+            f"{shapes_checked} shapes checked ({total} at n={max_n})",
+        ),
+        _check(
             "census equals recurrences for h, r, c (and mirror symmetry)",
-            not family_mismatches,
-            "all families agree" if not family_mismatches
-            else "; ".join(family_mismatches[:10]),
-        )
-    )
-
-    dissect_mismatches: list[str] = []
-    for n in range(1, max_n + 1):
-        for shape in enumerate_towers(
-            EnumerationRequest(n=n, class_filter="convex")
-        ):
-            d = dissect(shape)
-            if recombine(d) != shape:
-                dissect_mismatches.append(f"round trip failed for {shape}")
-    checks.append(
-        (
+            family_mismatches,
+            "all families agree",
+        ),
+        _check(
             "dissection round trip on every convex shape",
-            not dissect_mismatches,
-            "recombine restores every shape" if not dissect_mismatches
-            else "; ".join(dissect_mismatches[:10]),
-        )
-    )
-    return checks
+            dissect_mismatches,
+            "recombine restores every shape",
+        ),
+    ]
+
+
+def _check(name: str, mismatches: list[str], summary: str) -> tuple[str, bool, str]:
+    """(name, passed, detail); a failure lists its first ten mismatches."""
+    if mismatches:
+        return (name, False, "; ".join(mismatches[:10]))
+    return (name, True, summary)
 
 
 def cmd_verify(args, config: RunConfig) -> int:

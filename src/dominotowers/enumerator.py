@@ -13,10 +13,10 @@ in lexicographic order of their position tuples, depth first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Union
 
-from .model import Domino, TowerClass, TowerShape, classify
+from .model import TowerClass, TowerShape, classify
 
 DEFAULT_HARD_CAP = 12
 
@@ -81,9 +81,6 @@ class ClassCensus:
             out[key] = out.get(key, 0) + count
         return out
 
-    def class_total(self, classes: ClassFilter = None) -> int:
-        return sum(self.by_group(classes).values())
-
 
 def _matches(label: TowerClass, class_filter: ClassFilter) -> bool:
     if class_filter is None:
@@ -129,9 +126,7 @@ def enumerate_towers(request: EnumerationRequest) -> Iterator[TowerShape]:
     for b in request.bases():
         base = tuple(2 * i for i in range(b))
         for levels in _grow((base,), request.n - b):
-            shape = TowerShape.from_dominoes(
-                Domino(x, y) for y, row in enumerate(levels) for x in row
-            )
+            shape = TowerShape.from_levels(levels)
             if request.class_filter is None or _matches(
                 classify(shape), request.class_filter
             ):
@@ -141,11 +136,7 @@ def enumerate_towers(request: EnumerationRequest) -> Iterator[TowerShape]:
 def census(request: EnumerationRequest) -> ClassCensus:
     """Classify every enumerated shape and count by (group key, class)."""
     result = ClassCensus(group_by=request.group_by)
-    inner = EnumerationRequest(
-        n=request.n, b=request.b, class_filter=None,
-        group_by=request.group_by, hard_cap=request.hard_cap,
-    )
-    for shape in enumerate_towers(inner):
+    for shape in enumerate_towers(replace(request, class_filter=None)):
         label = classify(shape)
         if not _matches(label, request.class_filter):
             continue

@@ -1,4 +1,4 @@
-"""Embedded reference tables and named sequence fixtures.
+"""Embedded reference tables, as tables or flattened into sequences.
 
 The CSV files under ``data/`` carry the reference count tables verbatim,
 including their printed total columns, so comparisons against them never
@@ -11,22 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from importlib import resources
-
-
-@dataclass(frozen=True)
-class SequenceFixture:
-    """A named integer sequence with its starting index."""
-
-    id: str
-    offset: int
-    values: tuple[int, ...]
-    source: str = "embedded"
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("a sequence fixture needs at least one value")
-        if self.offset < 0:
-            raise ValueError("offset must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -77,10 +61,10 @@ def theta_table() -> dict[str, list[str]]:
     return {row[0]: row[1:] for row in rows[1:]}
 
 
-def flatten_triangle(table_name: str) -> SequenceFixture:
+def flatten_triangle(table_name: str) -> tuple[int, ...]:
     """Reference triangle read by rows, b = 1..n, as a 1-based sequence."""
     fixture = load_count_table(table_name)
     values: list[int] = []
     for n, row in enumerate(fixture.cells, start=1):
         values.extend(row[: min(n, fixture.max_b)])
-    return SequenceFixture(id=table_name, offset=1, values=tuple(values))
+    return tuple(values)

@@ -56,48 +56,58 @@ class TowerClass(Enum):
     NON_CONVEX = "non-convex"
 
 
+Levels = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class TowerShape:
-    """A finite, canonically translated set of dominoes.
+    """A finite, canonically translated set of dominoes, stored by level.
 
+    ``levels`` holds the left cells of the dominoes on each level, bottom to
+    top, each level sorted and the smallest left cell shifted to 0.
     Construction does not enforce tower validity; ``validate`` is the total
-    predicate for that.  Identity, equality, and hashing use the sorted
-    domino list, which for canonical shapes is one-to-one with the sorted
-    cell list.
+    predicate for that.  Identity, equality, and hashing use ``levels``,
+    which for canonical shapes is one-to-one with the sorted cell list.
     """
 
-    dominoes: tuple[Domino, ...]
+    levels: Levels
+
+    @classmethod
+    def from_levels(cls, levels: Levels) -> "TowerShape":
+        """Shape from sorted levels, shifted so the smallest left cell is 0."""
+        shift = min(row[0] for row in levels if row)
+        if shift:
+            levels = tuple(tuple(x - shift for x in row) for row in levels)
+        return cls(levels)
 
     @classmethod
     def from_dominoes(cls, dominoes: Iterable[Domino]) -> "TowerShape":
         ds = set(dominoes)
         if not ds:
             raise ValueError("a tower shape needs at least one domino")
-        min_x = min(d.x for d in ds)
         min_y = min(d.y for d in ds)
-        shifted = sorted(Domino(d.x - min_x, d.y - min_y) for d in ds)
-        return cls(tuple(shifted))
+        rows: list[list[int]] = [[] for _ in range(max(d.y for d in ds) - min_y + 1)]
+        for d in ds:
+            rows[d.y - min_y].append(d.x)
+        return cls.from_levels(tuple(tuple(sorted(row)) for row in rows))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "TowerShape":
         return cls.from_dominoes(Domino(x, y) for x, y in pairs)
 
     @property
+    def dominoes(self) -> tuple[Domino, ...]:
+        return tuple(
+            sorted(Domino(x, y) for y, row in enumerate(self.levels) for x in row)
+        )
+
+    @property
     def n(self) -> int:
-        return len(self.dominoes)
+        return sum(len(row) for row in self.levels)
 
     @cached_property
     def cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(c for d in self.dominoes for c in d.cells)
-
-    @cached_property
-    def levels(self) -> tuple[tuple[int, ...], ...]:
-        """Left cells of the dominoes on each level, bottom to top."""
-        height = max(d.y for d in self.dominoes) + 1
-        rows: list[list[int]] = [[] for _ in range(height)]
-        for d in self.dominoes:
-            rows[d.y].append(d.x)
-        return tuple(tuple(sorted(row)) for row in rows)
+        return frozenset(self.cell_list())
 
     @property
     def height(self) -> int:
@@ -122,21 +132,27 @@ class TowerShape:
 
     def mirror(self) -> "TowerShape":
         """Reflection across a vertical axis, re-canonicalized."""
-        return TowerShape.from_dominoes(
-            Domino(-d.x - 1, d.y) for d in self.dominoes
+        return TowerShape.from_levels(
+            tuple(tuple(-x - 1 for x in reversed(row)) for row in self.levels)
         )
 
     def cell_list(self) -> list[tuple[int, int]]:
-        return sorted(self.cells)
+        return sorted(
+            {(x + dx, y) for y, row in enumerate(self.levels) for x in row
+             for dx in (0, 1)}
+        )
 
     def __str__(self) -> str:
         return " ".join(f"{x},{y}" for x, y in self.cell_list())
 
 
+def _rests_on(left_cells_below: set[int], x: int) -> bool:
+    return any(x + dx in left_cells_below for dx in (-1, 0, 1))
+
+
 def offset_supported(left_cells_below: Iterable[int], domino: Domino) -> bool:
     """Support via the three-offset rule: a block at -1, 0, or +1 below."""
-    below = set(left_cells_below)
-    return any(domino.x + dx in below for dx in (-1, 0, 1))
+    return _rests_on(set(left_cells_below), domino.x)
 
 
 def cell_supported(cells: Iterable[tuple[int, int]], domino: Domino) -> bool:
@@ -147,61 +163,69 @@ def cell_supported(cells: Iterable[tuple[int, int]], domino: Domino) -> bool:
 
 def validate(shape: TowerShape) -> bool:
     """Total predicate: contiguous base, no overlaps, every block supported."""
-    # canonical position is guaranteed by construction, but cheap to confirm
-    if min(c[0] for c in shape.cells) != 0 or min(d.y for d in shape.dominoes) != 0:
+    levels = shape.levels
+    if not levels or not all(levels):
         return False
-    for row in shape.levels:
-        if not row:
-            return False
+    # the constructors shift to canonical position; TowerShape(levels) does not
+    if min(row[0] for row in levels) != 0:
+        return False
+    for row in levels:
         for a, b in zip(row, row[1:]):
             if b - a < 2:  # overlapping cells on one level
                 return False
-    base = shape.levels[0]
+    base = levels[0]
     if any(b - a != 2 for a, b in zip(base, base[1:])):
         return False
-    for y in range(1, shape.height):
-        below = shape.levels[y - 1]
-        for x in shape.levels[y]:
-            if not offset_supported(below, Domino(x, y)):
-                return False
-    return True
-
-
-def is_convex(shape: TowerShape) -> bool:
-    """Row convexity and column convexity of the occupied cells."""
-    for row in shape.levels:
-        if row[-1] - row[0] != 2 * (len(row) - 1):
-            return False
-    cols: dict[int, list[int]] = {}
-    for x, y in shape.cells:
-        cols.setdefault(x, []).append(y)
-    for ys in cols.values():
-        if max(ys) - min(ys) + 1 != len(ys):
+    for below, row in zip(levels, levels[1:]):
+        below_set = set(below)
+        if not all(_rests_on(below_set, x) for x in row):
             return False
     return True
 
 
-def _spans(shape: TowerShape) -> list[tuple[int, int]]:
-    return [shape.row_span(y) for y in range(shape.height)]
+Spans = list[tuple[int, int]]
 
 
-def _nested_above(spans: list[tuple[int, int]], start: int) -> bool:
+def _profile(levels: Levels) -> tuple[Spans, list[int]]:
+    """Row spans (as ``row_span``) and domino counts, bottom to top."""
+    return [(row[0], row[-1] + 1) for row in levels], [len(row) for row in levels]
+
+
+def _solid_rows(levels: Levels) -> bool:
+    return all(row[-1] - row[0] == 2 * (len(row) - 1) for row in levels)
+
+
+def _convex(levels: Levels) -> bool:
+    if not _solid_rows(levels):
+        return False
+    last: dict[int, int] = {}  # column -> highest level occupied so far
+    for y, row in enumerate(levels):
+        for x in row:
+            for c in (x, x + 1):
+                if last.get(c, y) < y - 1:  # a gap in column c
+                    return False
+                last[c] = y
+    return True
+
+
+def _on_base(spans: Spans) -> bool:
+    lo, hi = spans[0]
+    return all(a >= lo and b <= hi for a, b in spans)
+
+
+def _reflected(spans: Spans) -> Spans:
+    """Spans of the mirror image, up to translation."""
+    return [(-hi, -lo) for lo, hi in spans]
+
+
+def _nested_above(spans: Spans, start: int) -> bool:
     return all(
         spans[y + 1][0] >= spans[y][0] and spans[y + 1][1] <= spans[y][1]
         for y in range(start, len(spans) - 1)
     )
 
 
-def is_stack(shape: TowerShape) -> bool:
-    """Convex with every occupied column meeting the base row."""
-    if not is_convex(shape):
-        return False
-    spans = _spans(shape)
-    lo, hi = spans[0]
-    return all(a >= lo and b <= hi for a, b in spans)
-
-
-def _right_skew_from(spans: list[tuple[int, int]], lengths: list[int], y: int) -> bool:
+def _right_skew_from(spans: Spans, lengths: list[int], y: int) -> bool:
     # Mirrors the recursive construction: above row y sits either a stack
     # whose base overhangs right by one cell, or another skewed tower whose
     # base's right edge advances by 0 or 1.  The sub-base is never wider.
@@ -215,15 +239,33 @@ def _right_skew_from(spans: list[tuple[int, int]], lengths: list[int], y: int) -
     return step in (0, 1) and _right_skew_from(spans, lengths, y + 1)
 
 
+def _supporting_steps(spans: Spans, lengths: list[int]) -> bool:
+    for y in range(len(spans) - 1):
+        step = lengths[y + 1] - lengths[y]
+        lo, hi = spans[y]
+        if step not in (0, 1) or spans[y + 1] != (lo - step, hi + step):
+            return False
+    return True
+
+
+def is_convex(shape: TowerShape) -> bool:
+    """Row convexity and column convexity of the occupied cells."""
+    return _convex(shape.levels)
+
+
+def is_stack(shape: TowerShape) -> bool:
+    """Convex with every occupied column meeting the base row."""
+    return _convex(shape.levels) and _on_base(_profile(shape.levels)[0])
+
+
 def is_right_skewed(shape: TowerShape) -> bool:
-    if not is_convex(shape):
-        return False
-    lengths = [len(row) for row in shape.levels]
-    return _right_skew_from(_spans(shape), lengths, 0)
+    spans, lengths = _profile(shape.levels)
+    return _convex(shape.levels) and _right_skew_from(spans, lengths, 0)
 
 
 def is_left_skewed(shape: TowerShape) -> bool:
-    return is_right_skewed(shape.mirror())
+    spans, lengths = _profile(shape.levels)
+    return _convex(shape.levels) and _right_skew_from(_reflected(spans), lengths, 0)
 
 
 def is_supporting(shape: TowerShape) -> bool:
@@ -234,21 +276,7 @@ def is_supporting(shape: TowerShape) -> bool:
     cell on each side.  Any other placement of an equal-length row breaks
     convexity once the wider row above is added.
     """
-    spans = _spans(shape)
-    for row, (lo, hi) in zip(shape.levels, spans):
-        if hi - lo + 1 != 2 * len(row):  # gapped row
-            return False
-    for y in range(shape.height - 1):
-        step = len(shape.levels[y + 1]) - len(shape.levels[y])
-        if step == 0:
-            if spans[y + 1] != spans[y]:
-                return False
-        elif step == 1:
-            if spans[y + 1] != (spans[y][0] - 1, spans[y][1] + 1):
-                return False
-        else:
-            return False
-    return True
+    return _solid_rows(shape.levels) and _supporting_steps(*_profile(shape.levels))
 
 
 def classify(shape: TowerShape) -> TowerClass:
@@ -258,15 +286,16 @@ def classify(shape: TowerShape) -> TowerClass:
     stacks (all rows equal) or would be caught earlier keep the earlier
     label; ``is_supporting`` stays available as a standalone predicate.
     """
-    if not is_convex(shape):
+    if not _convex(shape.levels):
         return TowerClass.NON_CONVEX
-    if is_stack(shape):
+    spans, lengths = _profile(shape.levels)
+    if _on_base(spans):
         return TowerClass.STACK
-    if is_right_skewed(shape):
+    if _right_skew_from(spans, lengths, 0):
         return TowerClass.RIGHT_SKEWED
-    if is_left_skewed(shape):
+    if _right_skew_from(_reflected(spans), lengths, 0):
         return TowerClass.LEFT_SKEWED
-    if is_supporting(shape):
+    if _supporting_steps(spans, lengths):
         return TowerClass.SUPPORTING
     return TowerClass.CONVEX_OTHER
 
@@ -291,17 +320,13 @@ def dissect(shape: TowerShape) -> Dissection:
         raise ValueError("dissect requires a valid tower")
     if not is_convex(shape):
         raise ValueError("dissect requires a convex tower")
+    levels = shape.levels
     widest = shape.max_row_b
-    level = next(
-        y for y, row in enumerate(shape.levels) if len(row) == widest
-    )
-    upper = TowerShape.from_dominoes(
-        d for d in shape.dominoes if d.y >= level
-    )
+    level = next(y for y, row in enumerate(levels) if len(row) == widest)
+    upper = TowerShape.from_levels(levels[level:])
     if level == 0:
         return Dissection(None, upper, 0)
-    lower = TowerShape.from_dominoes(d for d in shape.dominoes if d.y < level)
-    return Dissection(lower, upper, level)
+    return Dissection(TowerShape.from_levels(levels[:level]), upper, level)
 
 
 def recombine(dissection: Dissection) -> TowerShape:
@@ -311,7 +336,5 @@ def recombine(dissection: Dissection) -> TowerShape:
         return upper
     top_lo, _ = lower.row_span(lower.height - 1)
     dx = (top_lo - 1) - upper.row_span(0)[0]
-    dy = lower.height
-    combined = list(lower.dominoes)
-    combined.extend(Domino(d.x + dx, d.y + dy) for d in upper.dominoes)
-    return TowerShape.from_dominoes(combined)
+    shifted = tuple(tuple(x + dx for x in row) for row in upper.levels)
+    return TowerShape.from_levels(lower.levels + shifted)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dominotowers import fixtures, recurrences
+from dominotowers import cli, fixtures, recurrences
 from dominotowers.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,6 +135,76 @@ class TestVerify:
     def test_cap_is_usage_error(self, capsys):
         assert run(capsys, "verify", "--max-n", "13")[0] == 2
 
+    def test_golden_bytes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-n", "6")
+        assert code == 0
+        assert out == (GOLDEN / "verify_n6.txt").read_text()
+
+    def test_recurrence_mismatch_fails_census_check(self, capsys, monkeypatch):
+        real = recurrences.r
+        monkeypatch.setattr(recurrences, "r", lambda b, n: real(b, n) + 1)
+        code, out, _ = run(capsys, "verify", "--max-n", "2")
+        assert code == 1
+        assert out.splitlines()[1] == (
+            "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
+            "r(1,1): census 0 != recurrence 1; "
+            "mirror(1,1): census 0 != recurrence 1; "
+            "c(1,1): census 1 != recurrence 3; "
+            "r(1,2): census 1 != recurrence 2; "
+            "mirror(1,2): census 1 != recurrence 2; "
+            "c(1,2): census 3 != recurrence 5; "
+            "r(2,2): census 0 != recurrence 1; "
+            "mirror(2,2): census 0 != recurrence 1; "
+            "c(2,2): census 1 != recurrence 7"
+        )
+
+    def test_duplicate_shape_fails_count_check(self, capsys, monkeypatch):
+        # the raw count is unchanged; only the distinct-shape set sees it
+        real = cli.enumerate_towers
+
+        def duplicating(request):
+            shapes = list(real(request))
+            if request.n == 3 and request.b == 2:
+                shapes[1] = shapes[0]
+            yield from shapes
+
+        monkeypatch.setattr(cli, "enumerate_towers", duplicating)
+        code, out, _ = run(capsys, "verify", "--max-n", "3")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL known counts: C(2n-1, n-b) per base and 4^(n-1) per size: "
+            "count(3,2) = 4 != 5; total(3) = 15 != 16"
+        )
+
+    def test_broken_recombine_fails_round_trip(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "recombine", lambda d: d.upper)
+        code, out, _ = run(capsys, "verify", "--max-n", "3")
+        assert code == 1
+        assert out.splitlines()[2] == (
+            "FAIL dissection round trip on every convex shape: "
+            "round trip failed for 0,1 1,0 1,1 2,0 2,1 3,1"
+        )
+
+    def test_one_enumeration_per_size_and_base(self, monkeypatch):
+        calls = []
+        real = cli.enumerate_towers
+
+        def counting(request):
+            calls.append((request.n, request.b))
+            return real(request)
+
+        def no_census(request):
+            raise AssertionError("verify must not run a separate census")
+
+        monkeypatch.setattr(cli, "enumerate_towers", counting)
+        monkeypatch.setattr(cli, "census", no_census)
+        max_n = 5
+        assert all(passed for _, passed, _ in cli.run_verifications(max_n))
+        assert len(calls) == max_n * (max_n + 1) // 2
+        assert sorted(calls) == [
+            (n, b) for n in range(1, max_n + 1) for b in range(1, n + 1)
+        ]
+
 
 class TestEnumerate:
     def test_golden_stream(self, capsys):
@@ -204,14 +274,14 @@ class TestOeisCheck:
         flat = fixtures.flatten_triangle("convex_counts.csv")
         bfile = tmp_path / "b275662.txt"
         bfile.write_text(
-            "".join(f"{i} {v}\n" for i, v in enumerate(flat.values, start=1))
+            "".join(f"{i} {v}\n" for i, v in enumerate(flat, start=1))
         )
         code, out, _ = run(capsys, "oeis-check", "A275662", "--bfile", str(bfile))
         assert code == 0
         assert "55/55 terms match" in out
 
     def test_mismatch_exits_one(self, capsys, tmp_path):
-        values = list(fixtures.flatten_triangle("convex_counts.csv").values)
+        values = list(fixtures.flatten_triangle("convex_counts.csv"))
         values[30] += 7
         bfile = tmp_path / "bad.txt"
         bfile.write_text(

@@ -58,25 +58,25 @@ class TestParse:
 class TestCompare:
     def test_convex_triangle_from_reference_table(self):
         flat = fixtures.flatten_triangle("convex_counts.csv")
-        result = compare_bfile("A275662", "c", bfile_text(flat.values))
+        result = compare_bfile("A275662", "c", bfile_text(flat))
         assert result.ok
         assert result.compared == result.matched == 55
         assert result.candidate == "rows b=1..n"
 
     def test_stack_triangle_from_reference_table(self):
         flat = fixtures.flatten_triangle("stack_counts.csv")
-        result = compare_bfile("A275204", "h", bfile_text(flat.values))
+        result = compare_bfile("A275204", "h", bfile_text(flat))
         assert result.ok and result.compared == 55
 
     def test_skew_triangle_from_reference_table(self):
         flat = fixtures.flatten_triangle("skewed_counts.csv")
-        result = compare_bfile("A275599", "r", bfile_text(flat.values))
+        result = compare_bfile("A275599", "r", bfile_text(flat))
         assert result.ok and result.compared == 54
 
     def test_detects_skipped_leading_zero_row(self):
         # same skew triangle but starting at the first non-zero row
         flat = fixtures.flatten_triangle("skewed_counts.csv")
-        result = compare_bfile("A275599", "r", bfile_text(flat.values[1:]))
+        result = compare_bfile("A275599", "r", bfile_text(flat[1:]))
         assert result.ok
         assert "leading zero rows skipped" in result.candidate
 
@@ -105,7 +105,7 @@ class TestCompare:
         assert digits[:10] == [3, 4, 6, 2, 7, 4, 6, 6, 1, 9]
 
     def test_mismatch_is_reported_with_index(self):
-        flat = list(fixtures.flatten_triangle("convex_counts.csv").values)
+        flat = list(fixtures.flatten_triangle("convex_counts.csv"))
         flat[20] += 1
         result = compare_bfile("A275662", "c", bfile_text(flat))
         assert not result.ok
