@@ -23,7 +23,7 @@ from .enumerator import (
     enumerate_towers,
 )
 from .model import TowerClass, dissect, recombine
-from .recurrences import FAMILIES, UnsupportedK
+from .recurrences import FAMILIES
 from .render import FORMATS, count_table_rows, format_fixed, render_table
 
 CACHE_ENV_VAR = "DOMINOTOWERS_CACHE_DIR"
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_count(args, config: RunConfig) -> int:
     try:
         value = recurrences.family_value(args.family, args.b, args.n, args.k)
-    except (UnsupportedK, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(value)
@@ -130,7 +130,7 @@ def cmd_table(args, config: RunConfig) -> int:
         return 2
     try:
         cells = recurrences.table(args.family, args.max_n, args.max_b, args.k)
-    except (UnsupportedK, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     header, rows = count_table_rows(cells)
@@ -311,10 +311,7 @@ def cmd_oeis_check(args, config: RunConfig) -> int:
                 config.cache_dir,
                 allow_network=config.allow_network,
             )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except oeis.FetchError as exc:
+    except (OSError, UnicodeDecodeError, oeis.FetchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:

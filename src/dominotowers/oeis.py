@@ -12,6 +12,7 @@ guessed around.
 
 from __future__ import annotations
 
+import os
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -99,11 +100,19 @@ def fetch_bfile(
         try:
             with urllib.request.urlopen(url, timeout=timeout) as response:
                 text = response.read().decode("utf-8")
-            cached.write_text(text, encoding="utf-8")
-            return text
+            break
         except (urllib.error.URLError, OSError) as exc:
             last_error = exc
-    raise FetchError(f"could not fetch {url}: {last_error}")
+    else:
+        raise FetchError(f"could not fetch {url}: {last_error}")
+    # whole or absent: a later run serves any <id>.txt it finds
+    tmp = cache_dir / f"{seq_id}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, cached)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return text
 
 
 @dataclass(frozen=True)

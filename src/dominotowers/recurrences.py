@@ -23,9 +23,10 @@ Families, all counted as fixed polyominoes made of n blocks of length k
   This path is deliberately independent of the series module so the two can
   cross-check each other.
 
-Values are filled iteratively (no deep recursion) into per-(family, k)
-tables, so n in the thousands is fine.  All arithmetic is arbitrary
-precision from the start.
+Tables only ever grow: rows b = 1, 2, ... are extended in n by a loop, never
+rebuilt, and running sums over i <= b make each new cell O(1).  For m = n - b
+positive, h(b, n) = (k*b + 1)*S0_b(m) - k*S1_b(m) and r(b, n) = T_b(m), where
+S0_b, S1_b and T_b sum h(i, m), i*h(i, m) and k*r(i, m) + (k-1)*h(i, m).
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ class UnsupportedK(ValueError):
 
 
 class CountTable:
-    """Dense memo table for one (family, k); grows monotonically on demand.
+    """Memo table for one (family, k) whose rows only ever grow in n.
 
-    Refills are deterministic and idempotent, so concurrent use only needs
-    external serialization of the fills themselves.
+    ``_rows[b][n]`` holds values and ``_sums[b]`` running sums; row 0 is all
+    zeros.  Row lengths never increase with b.  Growth is unsynchronized:
+    callers sharing a table must serialize its growth.
     """
 
     def __init__(self, family: str, k: int = 2, h_table: "CountTable | None" = None):
@@ -52,9 +54,8 @@ class CountTable:
         self.family = family
         self.k = k
         self._h = h_table
-        self._max_b = -1
-        self._max_n = -1
-        self._vals: list[list[int]] = []
+        self._rows: list[list[int]] = [[]]
+        self._sums = [(self._rows[0],) * {"g": 0, "h": 2, "r": 1}[family]]
 
     def value(self, b: int, n: int) -> int:
         if b < 1 or n < 1:
@@ -65,72 +66,68 @@ class CountTable:
             return 0
         if self.family == "r" and n < b + 1:
             return 0
-        self.ensure(b, n)
-        return self._vals[b][n]
+        if b >= len(self._rows) or n >= len(self._rows[b]):
+            self.ensure(b, n)
+        return self._rows[b][n]
 
     def ensure(self, max_b: int, max_n: int) -> None:
-        if max_b <= self._max_b and max_n <= self._max_n:
-            return
-        max_b = max(max_b, self._max_b)
-        max_n = max(max_n, self._max_n)
+        """Extend rows 1..max_b through column max_n, lowest row first."""
         if self.family == "r":
             self._h.ensure(max_b, max_n)
-        fill = getattr(self, f"_fill_{self.family}")
-        self._vals = fill(max_b, max_n)
-        self._max_b, self._max_n = max_b, max_n
+        rows, sums = self._rows, self._sums
+        rows[0].extend([0] * (max_n + 1 - len(rows[0])))
+        while len(rows) <= max_b:
+            rows.append([])
+            sums.append(tuple([] for _ in sums[0]))
+        b = max_b
+        while b > 0 and len(rows[b]) <= max_n:
+            b -= 1
+        for b in range(b + 1, max_b + 1):
+            self._extend(b, max_n)
 
-    def _fill_g(self, max_b: int, max_n: int) -> list[list[int]]:
-        vals = [[0] * (max_n + 1) for _ in range(max_b + 1)]
-        for n in range(1, max_n + 1):
-            for b in range(2, max_b + 1):
-                if n < b - 1:
-                    continue
-                if n == b - 1:
-                    vals[b][n] = 1
+    def _extend(self, b: int, max_n: int) -> None:
+        """Append cells to row b through column max_n; row b-1 is long enough."""
+        k = self.k
+        row = self._rows[b]
+        if self.family == "g":
+            below = self._rows[b - 1]
+            for n in range(len(row), max_n + 1):
+                m = n - b + 1
+                if m > 0 and b > 1:
+                    row.append(row[m] + (k - 1) * below[m])
                 else:
-                    m = n - b + 1  # n >= b here, so m >= 1
-                    vals[b][n] = vals[b][m] + (self.k - 1) * vals[b - 1][m]
-        return vals
-
-    def _fill_h(self, max_b: int, max_n: int) -> list[list[int]]:
-        vals = [[0] * (max_n + 1) for _ in range(max_b + 1)]
-        for n in range(1, max_n + 1):
-            for b in range(1, min(n, max_b) + 1):
-                if n == b:
-                    vals[b][n] = 1
-                else:
-                    m = n - b
-                    vals[b][n] = sum(
-                        (self.k * (b - i) + 1) * vals[i][m]
-                        for i in range(1, min(b, m) + 1)
-                    )
-        return vals
-
-    def _fill_r(self, max_b: int, max_n: int) -> list[list[int]]:
-        vals = [[0] * (max_n + 1) for _ in range(max_b + 1)]
-        h = self._h
-        for n in range(2, max_n + 1):
-            for b in range(1, min(n - 1, max_b) + 1):
+                    row.append(int(m == 0 and b > 1))
+        elif self.family == "h":
+            s0, s1 = self._sums[b]
+            below0, below1 = self._sums[b - 1]
+            for n in range(len(row), max_n + 1):
                 m = n - b
-                vals[b][n] = sum(
-                    self.k * vals[i][m] + (self.k - 1) * h.value(i, m)
-                    for i in range(1, min(b, m) + 1)
-                )
-        return vals
+                if m > 0:
+                    v = (k * b + 1) * s0[m] - k * s1[m]
+                else:
+                    v = int(m == 0)
+                row.append(v)
+                s0.append(below0[n] + v)
+                s1.append(below1[n] + b * v)
+        else:
+            (t,) = self._sums[b]
+            (below,) = self._sums[b - 1]
+            h_row = self._h._rows[b]
+            for n in range(len(row), max_n + 1):
+                m = n - b
+                v = t[m] if m > 0 else 0
+                row.append(v)
+                t.append(below[n] + k * v + (k - 1) * h_row[n])
 
 
 _tables: dict[tuple[str, int], CountTable] = {}
 
 
 def _table(family: str, k: int) -> CountTable:
-    if k < 2:
-        raise UnsupportedK(f"block length k={k} is not supported")
     key = (family, k)
     if key not in _tables:
-        if family == "r":
-            _tables[key] = CountTable("r", k, h_table=_table("h", k))
-        else:
-            _tables[key] = CountTable(family, k)
+        h_table = _table("h", k) if family == "r" else None
+        _tables[key] = CountTable(family, k, h_table)
     return _tables[key]
 
 
@@ -175,12 +172,8 @@ def c(b: int, n: int) -> int:
 
 def family_value(family: str, b: int, n: int, k: int = 2) -> int:
     """Dispatch by family key; c only exists for k=2."""
-    if family == "g":
-        return g_k(b, n, k)
-    if family == "h":
-        return h_k(b, n, k)
-    if family == "r":
-        return r_k(b, n, k)
+    if family in ("g", "h", "r"):
+        return _table(family, k).value(b, n)
     if family == "c":
         if k != 2:
             raise UnsupportedK("the convex family is only defined for k=2")

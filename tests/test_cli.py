@@ -236,10 +236,7 @@ class TestSeries:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
-    def test_convex_at_order_cap(self, capsys, monkeypatch):
-        # Private tables: later growth would refill these 4096 columns wide.
-        monkeypatch.setattr(recurrences, "_tables", {})
-        recurrences.table("g", 4096, 4)  # one fill, not one per c(4, m) step
+    def test_convex_at_order_cap(self, capsys):
         code, out, _ = run(capsys, "series", "c", "--b", "4", "--order", "4096")
         lines = out.splitlines()
         assert code == 0 and len(lines) == 4097
@@ -313,6 +310,15 @@ class TestOeisCheck:
             capsys, "oeis-check", "A275662", "--bfile", str(tmp_path / "no.txt")
         )
         assert code == 3
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_non_utf8_bfile_exits_three(self, capsys, tmp_path, cached):
+        bfile = tmp_path / "A275662.txt"
+        bfile.write_bytes(b"1 1\n2 \xff\n")
+        source = ("--cache-dir", str(tmp_path)) if cached else ("--bfile", str(bfile))
+        code, out, err = run(capsys, "oeis-check", "A275662", *source)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestParser:

@@ -5,7 +5,9 @@ so the two sides of each check come from independent places: reference
 table cells on one side, recurrence values on the other.
 """
 
+import errno
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,22 @@ class TestCompare:
             compare_bfile("A000001", "digits", bfile_text([1, 2, 3]))
 
 
+class FakeResponse:
+    """Stands in for the response urllib.request.urlopen returns."""
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
 class TestFetch:
     def test_url_pattern(self):
         assert bfile_url("A275662") == "https://oeis.org/A275662/b275662.txt"
@@ -152,19 +170,9 @@ class TestFetch:
     def test_fetch_writes_cache_and_reuses_it(self, tmp_path, monkeypatch):
         calls = []
 
-        class FakeResponse:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def read(self):
-                return b"1 1\n2 4\n"
-
         def fake_urlopen(url, timeout=None):
             calls.append(url)
-            return FakeResponse()
+            return FakeResponse(b"1 1\n2 4\n")
 
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         first = fetch_bfile("A034296", tmp_path, allow_network=True)
@@ -172,6 +180,22 @@ class TestFetch:
         assert first == second == "1 1\n2 4\n"
         assert calls == [bfile_url("A034296")]
         assert (tmp_path / "A034296.txt").exists()
+
+    def test_failed_cache_write_leaves_no_bfile(self, tmp_path, monkeypatch):
+        real_write_text = Path.write_text
+
+        def disk_full(path, text, **kwargs):
+            real_write_text(path, text[: len(text) // 2], **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fake_urlopen(url, timeout=None):
+            return FakeResponse(b"1 1\n2 4\n3 9\n")
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        with pytest.raises(OSError):
+            fetch_bfile("A034296", tmp_path, allow_network=True)
+        assert list(tmp_path.iterdir()) == []
 
     def test_fetch_retries_once_then_fails(self, tmp_path, monkeypatch):
         calls = []

@@ -7,6 +7,10 @@ exhaustive enumerator, so the tests below pin the true row sums and assert
 that the discrepancy in the reference files is exactly the known one.
 """
 
+import functools
+import random
+import time
+
 import pytest
 
 from dominotowers import fixtures, recurrences
@@ -27,6 +31,31 @@ from dominotowers.recurrences import (
 TRUE_STACK_TOTALS = [1, 2, 5, 11, 23, 45, 85, 154, 272, 468]
 TRUE_SKEW_TOTALS = [0, 1, 4, 12, 32, 76, 176, 381, 817, 1697]
 TRUE_CONVEX_TOTALS = [1, 4, 14, 41, 106, 253, 572, 1238, 2606, 5374]
+REF_MAX_B, REF_MAX_N = 40, 200
+
+
+@functools.cache
+def reference_tables(k: int) -> dict[str, dict[tuple[int, int], int]]:
+    """The module docstring's recurrences, transcribed with their O(b) sums."""
+    g, h, r = {}, {}, {}
+    for n in range(1, REF_MAX_N + 1):
+        for b in range(1, REF_MAX_B + 1):
+            if b >= 2 and n == b - 1:
+                g[b, n] = 1
+            elif b >= 2 and n >= b:
+                m = n - b + 1
+                g[b, n] = g.get((b, m), 0) + (k - 1) * g.get((b - 1, m), 0)
+            if n == b:
+                h[b, n] = 1
+            elif n > b:
+                h[b, n] = sum(
+                    (k * (b - i) + 1) * h.get((i, n - b), 0) for i in range(1, b + 1)
+                )
+            r[b, n] = sum(
+                k * r.get((i, n - b), 0) + (k - 1) * h.get((i, n - b), 0)
+                for i in range(1, b + 1)
+            )
+    return {"g": g, "h": h, "r": r}
 
 
 class TestSpotValues:
@@ -172,3 +201,70 @@ class TestTableMechanics:
             table("h", 0, 5)
         with pytest.raises(ValueError):
             recurrences.family_value("x", 1, 1)
+
+
+class TestAgainstDocstringRecurrences:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_interleaved_growth_matches_reference(self, k):
+        ref = reference_tables(k)
+        h_table = CountTable("h", k)
+        tables = {
+            "g": CountTable("g", k),
+            "h": h_table,
+            "r": CountTable("r", k, h_table=h_table),
+        }
+        rng = random.Random(k)
+        # the reachable corner widens slowly, so growth comes in many small,
+        # out-of-order steps across rows and between the h and r tables
+        for step in range(3000):
+            family = rng.choice("ghr")
+            b = rng.randint(-2, min(REF_MAX_B, 2 + step // 40))
+            n = rng.randint(-2, min(REF_MAX_N, 2 + step // 12))
+            if rng.random() < 0.1:
+                tables[family].ensure(max(b, 1), max(n, 1))
+            assert tables[family].value(b, n) == ref[family].get((b, n), 0), (
+                family, b, n
+            )
+        for family, t in tables.items():
+            for b in range(-2, REF_MAX_B + 1):
+                for n in range(-2, REF_MAX_N + 1):
+                    assert t.value(b, n) == ref[family].get((b, n), 0), (family, b, n)
+
+    @pytest.mark.parametrize(
+        "family, b, n",
+        [
+            ("g", 10**8, 5),
+            ("g", 1, 10**8),
+            ("g", 0, 0),
+            ("h", 10**8, 5),
+            ("h", -3, 10),
+            ("r", 10**8, 10**8),
+            ("r", 4, -1),
+        ],
+    )
+    def test_out_of_region_reads_do_not_grow(self, monkeypatch, family, b, n):
+        def refuse(*args):
+            raise AssertionError(f"{family}({b}, {n}) grew the table")
+
+        h_table = CountTable("h")
+        t = h_table if family == "h" else CountTable(family, h_table=h_table)
+        monkeypatch.setattr(t, "ensure", refuse)
+        assert t.value(b, n) == 0
+
+
+class TestGrowthCost:
+    """Walking n upward extends rows cell by cell; nothing is rebuilt."""
+
+    def test_cold_convex_walk(self, monkeypatch):
+        monkeypatch.setattr(recurrences, "_tables", {})
+        start = time.process_time()
+        c(6, 2000)
+        assert time.process_time() - start < 1.0
+
+    def test_partition_totals_walk(self, monkeypatch):
+        # the column sums oeis._partition_totals takes, row by row
+        monkeypatch.setattr(recurrences, "_tables", {})
+        start = time.process_time()
+        for n in range(1, 301):
+            sum(g(b, n) for b in range(2, n + 2))
+        assert time.process_time() - start < 1.0
