@@ -41,7 +41,6 @@ from .asymptotics import (
     approx_theta,
     convergence_report,
     denominator_derivative_at_half,
-    limit_constant,
     limit_constant_digits,
     numerator_bar_at_half,
     numerator_hat_at_half,

@@ -114,10 +114,6 @@ def limit_constant_fraction(terms: int) -> Fraction:
     return value
 
 
-def limit_constant(terms: int) -> float:
-    return float(limit_constant_fraction(terms))
-
-
 def decimal_digits(value: Fraction, count: int) -> str:
     """First ``count`` digits of the decimal expansion, integer part included."""
     if value < 0:

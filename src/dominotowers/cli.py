@@ -2,7 +2,9 @@
 
 Subcommands: count, table, theta, verify, enumerate, series, oeis-check.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error or out of
-memory, 3 I/O or network failure.
+memory, 3 I/O or network failure.  Handlers check their arguments, raise and
+print results; ``main`` alone turns an exception into an exit code and an
+``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -11,13 +13,11 @@ import argparse
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import asymptotics, model, oeis, recurrences, series
 from .enumerator import (
     DEFAULT_HARD_CAP,
-    CapExceeded,
     EnumerationRequest,
     census,  # unused here; bench/tracer.py patches cli.census
     enumerate_towers,
@@ -27,6 +27,9 @@ from .recurrences import FAMILIES
 from .render import FORMATS, count_table_rows, format_fixed, render_table
 
 CACHE_ENV_VAR = "DOMINOTOWERS_CACHE_DIR"
+ORDER_CAP = 4096  # table bounds, series order and b-file terms compared
+THETA_MAX_B = 128  # theta_exact's cost grows steeply with b
+THETA_MAX_DECIMALS = 1000
 
 
 def default_cache_dir() -> Path:
@@ -34,31 +37,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "dominotowers"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Caps and I/O settings one invocation runs under."""
-
-    order_cap: int = 4096
-    enumeration_cap: int = DEFAULT_HARD_CAP
-    output_format: str = "csv"
-    cache_dir: Path | None = None
-    allow_network: bool = False
-
-    def __post_init__(self) -> None:
-        if self.order_cap < 1 or self.enumeration_cap < 1:
-            raise ValueError("caps must be positive")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            output_format=getattr(args, "format", "csv"),
-            cache_dir=getattr(args, "cache_dir", None) or default_cache_dir(),
-            allow_network=getattr(args, "fetch", False),
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,28 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_count(args, config: RunConfig) -> int:
-    try:
-        value = recurrences.family_value(args.family, args.b, args.n, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(value)
+def cmd_count(args) -> int:
+    print(recurrences.family_value(args.family, args.b, args.n, args.k))
     return 0
 
 
-def cmd_table(args, config: RunConfig) -> int:
-    cap = config.order_cap
-    if not (1 <= args.max_n <= cap and 1 <= args.max_b <= cap):
-        print(f"error: table bounds must be in 1..{cap}", file=sys.stderr)
-        return 2
-    try:
-        cells = recurrences.table(args.family, args.max_n, args.max_b, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_table(args) -> int:
+    if not (1 <= args.max_n <= ORDER_CAP and 1 <= args.max_b <= ORDER_CAP):
+        raise ValueError(f"table bounds must be in 1..{ORDER_CAP}")
+    cells = recurrences.table(args.family, args.max_n, args.max_b, args.k)
     header, rows = count_table_rows(cells)
-    sys.stdout.write(render_table(header, rows, config.output_format))
+    sys.stdout.write(render_table(header, rows, args.format))
     return 0
 
 
@@ -151,15 +118,17 @@ def theta_table_rows(max_b: int, decimals: int) -> tuple[list[str], list[list[st
     return header, rows
 
 
-def cmd_theta(args, config: RunConfig) -> int:
+def cmd_theta(args) -> int:
     if args.max_b < 2:
-        print("error: --max-b must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("--max-b must be at least 2")
+    if args.max_b > THETA_MAX_B:
+        raise ValueError(f"--max-b must be at most {THETA_MAX_B}")
     if args.decimals < 0:
-        print("error: --decimals must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("--decimals must be non-negative")
+    if args.decimals > THETA_MAX_DECIMALS:
+        raise ValueError(f"--decimals must be at most {THETA_MAX_DECIMALS}")
     header, rows = theta_table_rows(args.max_b, args.decimals)
-    sys.stdout.write(render_table(header, rows, config.output_format))
+    sys.stdout.write(render_table(header, rows, args.format))
     return 0
 
 
@@ -238,45 +207,31 @@ def _check(name: str, mismatches: list[str], summary: str) -> tuple[str, bool, s
     return (name, True, summary)
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.max_n < 1:
-        print("error: --max-n must be at least 1", file=sys.stderr)
-        return 2
-    if args.max_n > config.enumeration_cap:
-        print(
-            f"error: --max-n {args.max_n} exceeds the enumeration cap "
-            f"{config.enumeration_cap}",
-            file=sys.stderr,
+        raise ValueError("--max-n must be at least 1")
+    if args.max_n > DEFAULT_HARD_CAP:
+        raise ValueError(
+            f"--max-n {args.max_n} exceeds the enumeration cap {DEFAULT_HARD_CAP}"
         )
-        return 2
-    try:
-        checks = run_verifications(args.max_n)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     failed = False
-    for name, passed, detail in checks:
+    for name, passed, detail in run_verifications(args.max_n):
         status = "PASS" if passed else "FAIL"
         print(f"{status} {name}: {detail}")
         failed = failed or not passed
     return 1 if failed else 0
 
 
-def cmd_enumerate(args, config: RunConfig) -> int:
-    try:
-        request = EnumerationRequest(n=args.n, b="all" if args.b is None else args.b)
-        for shape in enumerate_towers(request):
-            print(shape)
-    except (CapExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_enumerate(args) -> int:
+    request = EnumerationRequest(n=args.n, b="all" if args.b is None else args.b)
+    for shape in enumerate_towers(request):
+        print(shape)
     return 0
 
 
-def cmd_series(args, config: RunConfig) -> int:
-    if not 0 <= args.order <= config.order_cap:
-        print(f"error: --order must be in 0..{config.order_cap}", file=sys.stderr)
-        return 2
+def cmd_series(args) -> int:
+    if not 0 <= args.order <= ORDER_CAP:
+        raise ValueError(f"--order must be in 0..{ORDER_CAP}")
     method = args.method.replace("-", "_")
     builders = {
         "g": lambda: series.build_G(args.b, args.order),
@@ -284,46 +239,21 @@ def cmd_series(args, config: RunConfig) -> int:
         "r": lambda: series.build_R(args.b, args.order, method),
         "c": lambda: series.build_C(args.b, args.order),
     }
-    try:
-        result = builders[args.family]()
-    except (series.SubsetBlowup, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for n, coeff in enumerate(result.coeffs):
+    for n, coeff in enumerate(builders[args.family]().coeffs):
         print(n, coeff)
     return 0
 
 
-def cmd_oeis_check(args, config: RunConfig) -> int:
+def cmd_oeis_check(args) -> int:
     family = args.family or oeis.KNOWN_SEQUENCES.get(args.sequence_id)
     if family is None:
-        print(
-            f"error: unknown sequence {args.sequence_id}; pass --family",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.bfile is not None:
-            text = args.bfile.read_text(encoding="utf-8")
-        else:
-            text = oeis.fetch_bfile(
-                args.sequence_id,
-                config.cache_dir,
-                allow_network=config.allow_network,
-            )
-    except (OSError, UnicodeDecodeError, oeis.FetchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        result = oeis.compare_bfile(
-            args.sequence_id, family, text, term_cap=config.order_cap
-        )
-    except oeis.BFileError as exc:
-        print(f"error: {args.sequence_id}: {exc}", file=sys.stderr)
-        return 3
-    except oeis.AlignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown sequence {args.sequence_id}; pass --family")
+    if args.bfile is not None:
+        text = args.bfile.read_text(encoding="utf-8")
+    else:
+        cache_dir = args.cache_dir or default_cache_dir()
+        text = oeis.fetch_bfile(args.sequence_id, cache_dir, allow_network=args.fetch)
+    result = oeis.compare_bfile(args.sequence_id, family, text, term_cap=ORDER_CAP)
     print(
         f"{result.sequence_id} as {result.family} ({result.candidate}): "
         f"{result.matched}/{result.compared} terms match"
@@ -336,9 +266,9 @@ def cmd_oeis_check(args, config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig.from_args(args)
+    args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # exact counts can be very long
+        sys.set_int_max_str_digits(0)
     handlers = {
         "count": cmd_count,
         "table": cmd_table,
@@ -348,11 +278,21 @@ def main(argv: list[str] | None = None) -> int:
         "series": cmd_series,
         "oeis-check": cmd_oeis_check,
     }
+    # BFileError and UnicodeDecodeError are ValueErrors: keep them above it
     try:
-        return handlers[args.command](args, config)
+        return handlers[args.command](args)
     except MemoryError:
-        print("error: out of memory; try smaller arguments", file=sys.stderr)
-        return 2
+        message, code = "out of memory; try smaller arguments", 2
+    except oeis.BFileError as exc:
+        message, code = f"{args.sequence_id}: {exc}", 3
+    except (OSError, UnicodeDecodeError, oeis.FetchError) as exc:
+        message, code = exc, 3
+    except oeis.AlignmentError as exc:
+        message, code = exc, 1
+    except ValueError as exc:
+        message, code = exc, 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

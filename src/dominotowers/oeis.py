@@ -13,6 +13,7 @@ guessed around.
 from __future__ import annotations
 
 import os
+import sys
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -24,6 +25,9 @@ from . import asymptotics, recurrences
 DEFAULT_TERM_CAP = 1000
 DIGIT_CAP = 40
 DETECT_PREFIX = 4
+# Python's own int-from-text bound, checked here so that parsing stays bounded
+# when a caller (the CLI does) lifts the process-wide limit
+TERM_DIGIT_CAP = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 FAMILY_CHOICES = ("g", "h", "r", "c", "partitions", "constant")
 
@@ -63,6 +67,11 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
         parts = line.split()
         if len(parts) != 2:
             raise BFileError(line_number, f"expected 'index value', got {raw!r}")
+        for field in parts:
+            if len(field) > TERM_DIGIT_CAP and (
+                sum(map(str.isdecimal, field)) > TERM_DIGIT_CAP
+            ):
+                raise BFileError(line_number, f"field over {TERM_DIGIT_CAP} digits")
         try:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:

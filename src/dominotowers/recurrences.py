@@ -186,7 +186,10 @@ def table(family: str, max_n: int, max_b: int, k: int = 2) -> list[list[int]]:
     if max_n < 1 or max_b < 1:
         raise ValueError("table bounds must be at least 1")
     if family in ("g", "h", "r"):
-        _table(family, k).ensure(max_b, max_n)
+        t = _table(family, k)
+        t.ensure(max_b, max_n)
+        rows = t._rows[1 : max_b + 1]
+        return [[row[n] for row in rows] for n in range(1, max_n + 1)]
     return [
         [family_value(family, b, n, k) for b in range(1, max_b + 1)]
         for n in range(1, max_n + 1)

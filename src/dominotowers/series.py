@@ -48,12 +48,6 @@ class TruncatedSeries:
     def constant(cls, value: int, order: int) -> "TruncatedSeries":
         return cls((value,) + (0,) * order)
 
-    @classmethod
-    def from_coeffs(cls, coeffs, order: int) -> "TruncatedSeries":
-        cs = list(coeffs)[: order + 1]
-        cs.extend([0] * (order + 1 - len(cs)))
-        return cls(tuple(cs))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

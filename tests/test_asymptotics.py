@@ -17,7 +17,6 @@ from dominotowers.asymptotics import (
     convergence_report,
     decimal_digits,
     denominator_derivative_at_half,
-    limit_constant,
     limit_constant_digits,
     limit_constant_fraction,
     numerator_bar_at_half,
@@ -72,7 +71,7 @@ class TestAssemblyParts:
 
 class TestLimitConstant:
     def test_single_term(self):
-        assert limit_constant(1) == 2.0
+        assert limit_constant_fraction(1) == 2
 
     def test_partial_products_increase_and_stay_bounded(self):
         bound = Fraction(34627466196, 10 ** 10)

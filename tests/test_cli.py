@@ -47,6 +47,14 @@ class TestCount:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "memory" in err
 
+    @pytest.mark.parametrize("family, b", [("c", 2), ("r", 1)])
+    def test_value_past_int_str_digit_limit(self, capsys, monkeypatch, family, b):
+        monkeypatch.setattr(recurrences, "_tables", {})
+        code, out, err = run(capsys, "count", family, "--b", str(b), "--n", "15000")
+        assert code == 0 and err == ""
+        assert len(out) > 4301
+        assert out == f"{recurrences.family_value(family, b, 15000)}\n"
+
 
 class TestTable:
     def test_stack_table_golden_bytes(self, capsys):
@@ -118,6 +126,17 @@ class TestTheta:
     def test_usage_errors(self, capsys):
         assert run(capsys, "theta", "--max-b", "1")[0] == 2
         assert run(capsys, "theta", "--max-b", "4", "--decimals", "-2")[0] == 2
+
+    def test_largest_base(self, capsys):
+        code, out, _ = run(capsys, "theta", "--max-b", str(cli.THETA_MAX_B))
+        assert code == 0
+        assert out.splitlines()[0].endswith(f",b={cli.THETA_MAX_B}")
+
+    def test_most_decimals(self, capsys):
+        decimals = str(cli.THETA_MAX_DECIMALS)
+        code, out, _ = run(capsys, "theta", "--max-b", "2", "--decimals", decimals)
+        assert code == 0
+        assert out.splitlines()[1] == "theta,2." + "0" * cli.THETA_MAX_DECIMALS
 
 
 class TestVerify:
@@ -305,6 +324,13 @@ class TestOeisCheck:
         )
         assert code == 3 and "network" in err
 
+    def test_overlong_term_exits_three(self, capsys, tmp_path):
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("1 " + "1" * 4301 + "\n")
+        code, out, err = run(capsys, "oeis-check", "A275662", "--bfile", str(bfile))
+        assert code == 3 and out == ""
+        assert err == "error: A275662: line 1: field over 4300 digits\n"
+
     def test_missing_bfile_exits_three(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "oeis-check", "A275662", "--bfile", str(tmp_path / "no.txt")
@@ -332,24 +358,59 @@ class TestParser:
             build_parser().parse_args([])
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        from dominotowers.cli import RunConfig
+class TestExitCodes:
+    """One row per way ``main`` maps an exception to an exit code."""
 
-        config = RunConfig()
-        assert config.order_cap == 4096
-        assert config.enumeration_cap == 12
-        assert config.output_format == "csv"
-        assert config.allow_network is False
+    @pytest.mark.parametrize(
+        "argv, bfile, expected",
+        [
+            pytest.param(("oeis-check", "A065446"), "1 1\n", 1, id="alignment"),
+            pytest.param(("verify", "--max-n", "0"), None, 2, id="verify-min"),
+            pytest.param(("enumerate", "--n", "2", "--b", "3"), None, 2, id="enum"),
+            pytest.param(
+                ("series", "c", "--b", "4", "--order", "-1"), None, 2, id="order"
+            ),
+            pytest.param(
+                ("series", "h", "--b", "13", "--method", "closed-form"), None, 2,
+                id="subset-blowup",
+            ),
+            pytest.param(
+                ("count", "h", "--b", "2", "--n", "4", "--k", "1"), None, 2,
+                id="unsupported-k",
+            ),
+            pytest.param(("theta", "--max-b", "129"), None, 2, id="theta-b"),
+            pytest.param(
+                ("theta", "--max-b", "2", "--decimals", "1001"), None, 2,
+                id="theta-decimals",
+            ),
+            pytest.param(("oeis-check", "A275204"), "1 3\n5 abc\n", 3, id="bfile"),
+            pytest.param(("oeis-check", "A275204"), b"1 \xff\n", 3, id="decode"),
+            pytest.param(
+                ("oeis-check", "A275662", "--bfile", "missing.txt"), None, 3,
+                id="missing-bfile",
+            ),
+            pytest.param(
+                ("oeis-check", "A275662", "--cache-dir", "empty"), None, 3,
+                id="fetch",
+            ),
+        ],
+    )
+    def test_error_paths(self, capsys, monkeypatch, tmp_path, argv, bfile, expected):
+        monkeypatch.chdir(tmp_path)
+        if bfile is not None:
+            path = tmp_path / "b.txt"
+            if isinstance(bfile, bytes):
+                path.write_bytes(bfile)
+            else:
+                path.write_text(bfile)
+            argv += ("--bfile", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_validation(self):
-        from dominotowers.cli import RunConfig
 
-        with pytest.raises(ValueError):
-            RunConfig(order_cap=0)
-        with pytest.raises(ValueError):
-            RunConfig(output_format="html")
-
+class TestCacheDir:
     def test_cache_env_override(self, monkeypatch, tmp_path):
         from dominotowers.cli import CACHE_ENV_VAR, default_cache_dir
 

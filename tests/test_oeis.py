@@ -6,6 +6,7 @@ table cells on one side, recurrence values on the other.
 """
 
 import errno
+import sys
 import urllib.request
 from pathlib import Path
 
@@ -55,6 +56,22 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(BFileError):
             parse_bfile("# nothing\n")
+
+    def test_term_digit_cap_holds_with_the_process_limit_lifted(self):
+        cap = oeis.TERM_DIGIT_CAP
+        longest = "9" * cap
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_bfile(f"1 {longest}\n2 -{longest}\n") == [
+                (1, int(longest)),
+                (2, -int(longest)),
+            ]
+            with pytest.raises(BFileError, match=f"over {cap} digits") as info:
+                parse_bfile(f"1 {longest}\n2 {longest}9\n")
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert info.value.line_number == 2
 
 
 class TestCompare:

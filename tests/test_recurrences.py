@@ -230,6 +230,18 @@ class TestAgainstDocstringRecurrences:
                 for n in range(-2, REF_MAX_N + 1):
                     assert t.value(b, n) == ref[family].get((b, n), 0), (family, b, n)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_table_extracts_match_reference(self, monkeypatch, k):
+        # later extracts read rows an earlier, differently shaped one grew
+        monkeypatch.setattr(recurrences, "_tables", {})
+        ref = reference_tables(k)
+        for max_n, max_b in [(5, 12), (60, 40), (30, 40), (200, 3)]:
+            for family in "ghr":
+                assert table(family, max_n, max_b, k) == [
+                    [ref[family].get((b, n), 0) for b in range(1, max_b + 1)]
+                    for n in range(1, max_n + 1)
+                ], (family, max_n, max_b)
+
     @pytest.mark.parametrize(
         "family, b, n",
         [
