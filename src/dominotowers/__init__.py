@@ -18,8 +18,6 @@ from .model import (
 )
 from .enumerator import (
     CapExceeded,
-    ClassCensus,
-    EnumerationRequest,
     census,
     enumerate_towers,
     gapfree_partition_census,

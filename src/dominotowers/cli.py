@@ -4,7 +4,8 @@ Subcommands: count, table, theta, verify, enumerate, series, oeis-check.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error or out of
 memory, 3 I/O or network failure.  Handlers check their arguments, raise and
 print results; ``main`` alone turns an exception into an exit code and an
-``error: ...`` line on stderr.
+``error: ...`` line on stderr, except that a reader closing stdout early
+gets exit 3 and no message.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 from . import asymptotics, model, oeis, recurrences, series
 from .enumerator import (
     DEFAULT_HARD_CAP,
-    EnumerationRequest,
     census,  # unused here; bench/tracer.py patches cli.census
     enumerate_towers,
 )
@@ -153,7 +153,7 @@ def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
         for b in range(1, n + 1):
             seen = set()
             labels = by_base[b] = Counter()
-            for shape in enumerate_towers(EnumerationRequest(n=n, b=b)):
+            for shape in enumerate_towers(n, b):
                 seen.add(shape)
                 label = model.classify(shape)
                 labels[label] += 1
@@ -223,8 +223,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    request = EnumerationRequest(n=args.n, b="all" if args.b is None else args.b)
-    for shape in enumerate_towers(request):
+    for shape in enumerate_towers(args.n, args.b):
         print(shape)
     return 0
 
@@ -285,6 +284,12 @@ def main(argv: list[str] | None = None) -> int:
         message, code = "out of memory; try smaller arguments", 2
     except oeis.BFileError as exc:
         message, code = f"{args.sequence_id}: {exc}", 3
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the final flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
     except (OSError, UnicodeDecodeError, oeis.FetchError) as exc:
         message, code = exc, 3
     except oeis.AlignmentError as exc:

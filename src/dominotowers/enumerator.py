@@ -9,12 +9,16 @@ support-rule equivalence checked in the model tests.
 
 The stream order is deterministic: bases ascend, and level sets are visited
 in lexicographic order of their position tuples, depth first.
+
+The oracle has two entry points: ``enumerate_towers(n, b=None)`` streams
+the shapes, and ``census(n)`` counts them in one pass.  Being a generator,
+``enumerate_towers`` checks its arguments when the first shape is asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Union
+from collections import Counter
+from typing import Iterator
 
 from .model import TowerClass, TowerShape, classify
 
@@ -22,72 +26,7 @@ DEFAULT_HARD_CAP = 12
 
 
 class CapExceeded(ValueError):
-    """Requested size is above the configured enumeration cap."""
-
-
-ClassFilter = Union[TowerClass, str, None]
-
-
-@dataclass(frozen=True)
-class EnumerationRequest:
-    """Parameters for one enumeration run.
-
-    ``b`` is a fixed base size or "all"; ``class_filter`` is a TowerClass,
-    the string "convex" (everything except NON_CONVEX), or None; ``group_by``
-    chooses the census key.
-    """
-
-    n: int
-    b: int | str = "all"
-    class_filter: ClassFilter = None
-    group_by: str = "base"
-    hard_cap: int = DEFAULT_HARD_CAP
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.b != "all":
-            if not isinstance(self.b, int) or self.b < 1:
-                raise ValueError("b must be a positive integer or 'all'")
-            if self.b > self.n:
-                raise ValueError("b must not exceed n")
-        if self.group_by not in ("base", "max_row"):
-            raise ValueError(f"unknown group_by {self.group_by!r}")
-
-    def bases(self) -> range:
-        if self.b == "all":
-            return range(1, self.n + 1)
-        return range(self.b, self.b + 1)
-
-
-@dataclass
-class ClassCensus:
-    """Counts per (group key, class); counts always sum to total."""
-
-    group_by: str
-    counts: dict[tuple[int, TowerClass], int] = field(default_factory=dict)
-    total: int = 0
-
-    def add(self, key: int, label: TowerClass) -> None:
-        self.counts[(key, label)] = self.counts.get((key, label), 0) + 1
-        self.total += 1
-
-    def by_group(self, classes: ClassFilter = None) -> dict[int, int]:
-        """Counts per group key, restricted to a class or to "convex"."""
-        out: dict[int, int] = {}
-        for (key, label), count in self.counts.items():
-            if not _matches(label, classes):
-                continue
-            out[key] = out.get(key, 0) + count
-        return out
-
-
-def _matches(label: TowerClass, class_filter: ClassFilter) -> bool:
-    if class_filter is None:
-        return True
-    if class_filter == "convex":
-        return label is not TowerClass.NON_CONVEX
-    return label is class_filter
+    """Requested size is above the enumeration cap."""
 
 
 def _level_sets(allowed: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
@@ -117,32 +56,31 @@ def _grow(levels: tuple[tuple[int, ...], ...], remaining: int
         yield from _grow(levels + (chosen,), remaining - len(chosen))
 
 
-def enumerate_towers(request: EnumerationRequest) -> Iterator[TowerShape]:
-    """Every valid tower matching the request, each exactly once."""
-    if request.n > request.hard_cap:
-        raise CapExceeded(
-            f"n={request.n} exceeds the enumeration cap {request.hard_cap}"
-        )
-    for b in request.bases():
-        base = tuple(2 * i for i in range(b))
-        for levels in _grow((base,), request.n - b):
-            shape = TowerShape.from_levels(levels)
-            if request.class_filter is None or _matches(
-                classify(shape), request.class_filter
-            ):
-                yield shape
+def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
+    """Every valid tower of n dominoes, each exactly once.
+
+    ``b`` fixes the base size; None streams every base from 1 to n.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if b is not None and b < 1:
+        raise ValueError("b must be at least 1")
+    if b is not None and b > n:
+        raise ValueError("b must not exceed n")
+    if n > DEFAULT_HARD_CAP:
+        raise CapExceeded(f"n={n} exceeds the enumeration cap {DEFAULT_HARD_CAP}")
+    for base_b in range(1, n + 1) if b is None else (b,):
+        base = tuple(2 * i for i in range(base_b))
+        for levels in _grow((base,), n - base_b):
+            yield TowerShape.from_levels(levels)
 
 
-def census(request: EnumerationRequest) -> ClassCensus:
-    """Classify every enumerated shape and count by (group key, class)."""
-    result = ClassCensus(group_by=request.group_by)
-    for shape in enumerate_towers(replace(request, class_filter=None)):
-        label = classify(shape)
-        if not _matches(label, request.class_filter):
-            continue
-        key = shape.base_b if request.group_by == "base" else shape.max_row_b
-        result.add(key, label)
-    return result
+def census(n: int) -> Counter[tuple[int, int, TowerClass]]:
+    """Every tower of n dominoes counted by (base size, widest row, class)."""
+    return Counter(
+        (shape.base_b, shape.max_row_b, classify(shape))
+        for shape in enumerate_towers(n)
+    )
 
 
 def partitions(n: int, cap: int | None = None) -> Iterator[list[int]]:

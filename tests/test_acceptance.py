@@ -19,7 +19,7 @@ from dominotowers import (
     recurrences,
     series,
 )
-from dominotowers.enumerator import EnumerationRequest, census, enumerate_towers
+from dominotowers.enumerator import census, enumerate_towers
 from dominotowers.model import TowerClass, classify, dissect, is_supporting, recombine
 from dominotowers.render import format_fixed
 
@@ -113,13 +113,16 @@ def test_criterion_05_oracle_equivalence():
     started = time.monotonic()
     problems = []
     for n in range(1, 9):
-        by_base = census(EnumerationRequest(n=n, group_by="base"))
-        by_width = census(EnumerationRequest(n=n, group_by="max_row"))
-        stacks = by_base.by_group(TowerClass.STACK)
-        skews = by_base.by_group(TowerClass.RIGHT_SKEWED)
-        convex = by_width.by_group("convex")
+        stacks, skews, convex = {}, {}, {}
+        for (base, widest, label), count in census(n).items():
+            if label is TowerClass.STACK:
+                stacks[base] = stacks.get(base, 0) + count
+            if label is TowerClass.RIGHT_SKEWED:
+                skews[base] = skews.get(base, 0) + count
+            if label is not TowerClass.NON_CONVEX:
+                convex[widest] = convex.get(widest, 0) + count
         supporting = {}
-        for shape in enumerate_towers(EnumerationRequest(n=n)):
+        for shape in enumerate_towers(n):
             if is_supporting(shape):
                 key = shape.top_row_b + 1
                 supporting[key] = supporting.get(key, 0) + 1
@@ -145,9 +148,7 @@ def test_criterion_06_known_counts():
     for n in range(1, 7):
         total = 0
         for b in range(1, n + 1):
-            count = sum(
-                1 for _ in enumerate_towers(EnumerationRequest(n=n, b=b))
-            )
+            count = sum(1 for _ in enumerate_towers(n, b))
             if count != comb(2 * n - 1, n - b):
                 problems.append(f"count({n},{b}) = {count}")
             total += count
@@ -217,7 +218,9 @@ def test_criterion_10_dissection_round_trip():
     problems = []
     for n in range(1, 8):
         pairs: dict[tuple[int, int, TowerClass], int] = {}
-        for shape in enumerate_towers(EnumerationRequest(n=n, class_filter="convex")):
+        for shape in enumerate_towers(n):
+            if classify(shape) is TowerClass.NON_CONVEX:
+                continue
             d = dissect(shape)
             if recombine(d) != shape:
                 problems.append(f"round trip failed for {shape}")

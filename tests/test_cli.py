@@ -1,5 +1,8 @@
 """Command-line behavior: outputs, formats, exit codes, golden bytes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,13 @@ import pytest
 from dominotowers import cli, fixtures, recurrences
 from dominotowers.cli import build_parser, main
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def child_env(*dirs):
+    """The environment with PYTHONPATH set to the given repo directories."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(str(ROOT / d) for d in dirs)}
 
 
 def run(capsys, *argv):
@@ -181,9 +190,9 @@ class TestVerify:
         # the raw count is unchanged; only the distinct-shape set sees it
         real = cli.enumerate_towers
 
-        def duplicating(request):
-            shapes = list(real(request))
-            if request.n == 3 and request.b == 2:
+        def duplicating(n, b=None):
+            shapes = list(real(n, b))
+            if n == 3 and b == 2:
                 shapes[1] = shapes[0]
             yield from shapes
 
@@ -208,11 +217,11 @@ class TestVerify:
         calls = []
         real = cli.enumerate_towers
 
-        def counting(request):
-            calls.append((request.n, request.b))
-            return real(request)
+        def counting(n, b=None):
+            calls.append((n, b))
+            return real(n, b)
 
-        def no_census(request):
+        def no_census(n, b=None):
             raise AssertionError("verify must not run a separate census")
 
         monkeypatch.setattr(cli, "enumerate_towers", counting)
@@ -237,6 +246,17 @@ class TestEnumerate:
 
     def test_invalid_base(self, capsys):
         assert run(capsys, "enumerate", "--n", "2", "--b", "3")[0] == 2
+
+    def test_closed_pipe_exits_three_quietly(self):
+        argv = [sys.executable, "-m", "dominotowers", "enumerate", "--n", "9"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env("src")
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 3
+        assert err == b""
 
 
 class TestSeries:
@@ -409,6 +429,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(("--n", "0"), "n must be at least 1", id="enum-n"),
+            pytest.param(("--n", "3", "--b", "0"), "b must be at least 1", id="enum-b"),
+            pytest.param(
+                ("--n", "13"), "n=13 exceeds the enumeration cap 12", id="enum-cap"
+            ),
+        ],
+    )
+    def test_enumerate_checks(self, capsys, argv, message):
+        assert run(capsys, "enumerate", *argv) == (2, "", f"error: {message}\n")
+
 
 class TestCacheDir:
     def test_cache_env_override(self, monkeypatch, tmp_path):
@@ -416,3 +449,14 @@ class TestCacheDir:
 
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "alt"))
         assert default_cache_dir() == tmp_path / "alt"
+
+
+class TestBenchHooks:
+    def test_tracer_installs(self):
+        # bench/tracer.py patches package names in place; a rename breaks it
+        code = "from tracer import Tracer, install; install(Tracer())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env("src", "bench"), capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()

@@ -7,17 +7,28 @@ import pytest
 from dominotowers import recurrences
 from dominotowers.enumerator import (
     CapExceeded,
-    EnumerationRequest,
     census,
     enumerate_towers,
     gapfree_partition_census,
     partitions,
 )
-from dominotowers.model import TowerClass, is_supporting
+from dominotowers.model import TowerClass, classify, is_supporting
+
+CONVEX = frozenset(TowerClass) - {TowerClass.NON_CONVEX}
+BASE, WIDEST = 0, 1  # positions in a census key (base, widest row, class)
 
 
-def towers(n, b="all", **kw):
-    return list(enumerate_towers(EnumerationRequest(n=n, b=b, **kw)))
+def towers(n, b=None):
+    return list(enumerate_towers(n, b))
+
+
+def grouped(counts, classes, position):
+    """Census counts of the given classes, summed per BASE or WIDEST."""
+    out = {}
+    for key, count in counts.items():
+        if key[2] in classes:
+            out[key[position]] = out.get(key[position], 0) + count
+    return out
 
 
 class TestEnumerate:
@@ -60,51 +71,47 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             towers(13)
-        assert len(towers(3, hard_cap=3)) == 16
 
     def test_request_validation(self):
-        with pytest.raises(ValueError):
-            EnumerationRequest(n=0)
-        with pytest.raises(ValueError):
-            EnumerationRequest(n=3, b=4)
-        with pytest.raises(ValueError):
-            EnumerationRequest(n=3, b=0)
-        with pytest.raises(ValueError):
-            EnumerationRequest(n=3, group_by="height")
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            towers(0)
+        with pytest.raises(ValueError, match="b must not exceed n"):
+            towers(3, 4)
+        with pytest.raises(ValueError, match="b must be at least 1"):
+            towers(3, 0)
+        # the base is checked before the cap
+        with pytest.raises(ValueError, match="b must not exceed n"):
+            towers(13, 14)
 
     def test_class_filter(self):
-        convex = towers(4, class_filter="convex")
-        stacks = towers(4, class_filter=TowerClass.STACK)
+        convex = [t for t in towers(4) if classify(t) in CONVEX]
+        stacks = [t for t in towers(4) if classify(t) is TowerClass.STACK]
         assert len(convex) == 41
         assert len(stacks) == 11
 
 
 class TestCensus:
     def test_convex_by_widest_row_n3(self):
-        result = census(
-            EnumerationRequest(n=3, group_by="max_row", class_filter="convex")
-        )
-        assert result.by_group("convex") == {1: 7, 2: 6, 3: 1}
+        assert grouped(census(3), CONVEX, WIDEST) == {1: 7, 2: 6, 3: 1}
 
     def test_stacks_by_base_n5(self):
-        result = census(EnumerationRequest(n=5, group_by="base"))
-        assert result.by_group(TowerClass.STACK) == {1: 1, 2: 6, 3: 8, 4: 7, 5: 1}
+        assert grouped(census(5), {TowerClass.STACK}, BASE) == {
+            1: 1, 2: 6, 3: 8, 4: 7, 5: 1
+        }
 
     def test_total_all_shapes_n2(self):
-        assert census(EnumerationRequest(n=2)).total == 4
+        assert sum(census(2).values()) == 4
 
     def test_counts_sum_to_total(self):
-        result = census(EnumerationRequest(n=5))
-        assert sum(result.counts.values()) == result.total == 4 ** 4
+        assert sum(census(5).values()) == len(towers(5)) == 4 ** 4
 
     def test_census_matches_recurrences(self):
         for n in range(1, 8):
-            by_base = census(EnumerationRequest(n=n, group_by="base"))
-            by_width = census(EnumerationRequest(n=n, group_by="max_row"))
-            stacks = by_base.by_group(TowerClass.STACK)
-            right = by_base.by_group(TowerClass.RIGHT_SKEWED)
-            left = by_base.by_group(TowerClass.LEFT_SKEWED)
-            convex = by_width.by_group("convex")
+            counts = census(n)
+            stacks = grouped(counts, {TowerClass.STACK}, BASE)
+            right = grouped(counts, {TowerClass.RIGHT_SKEWED}, BASE)
+            left = grouped(counts, {TowerClass.LEFT_SKEWED}, BASE)
+            convex = grouped(counts, CONVEX, WIDEST)
             assert right == left
             for b in range(1, n + 1):
                 assert stacks.get(b, 0) == recurrences.h(b, n)
@@ -123,9 +130,9 @@ class TestCensus:
                 assert counts.get(b, 0) == recurrences.g(b, n), (b, n)
 
     def test_mirror_counts_equal_through_n8(self):
-        result = census(EnumerationRequest(n=8, group_by="base"))
-        assert result.by_group(TowerClass.RIGHT_SKEWED) == result.by_group(
-            TowerClass.LEFT_SKEWED
+        counts = census(8)
+        assert grouped(counts, {TowerClass.RIGHT_SKEWED}, BASE) == grouped(
+            counts, {TowerClass.LEFT_SKEWED}, BASE
         )
 
 

@@ -21,15 +21,15 @@ from dominotowers.model import (
     recombine,
     validate,
 )
-from dominotowers.enumerator import EnumerationRequest, enumerate_towers
+from dominotowers.enumerator import enumerate_towers
 
 
 def shape(*pairs):
     return TowerShape.from_pairs(pairs)
 
 
-def all_towers(n, b="all"):
-    return list(enumerate_towers(EnumerationRequest(n=n, b=b)))
+def all_towers(n, b=None):
+    return list(enumerate_towers(n, b))
 
 
 # An 18-block convex tower whose widest row has 4 blocks: a supporting
@@ -266,12 +266,13 @@ class TestDissection:
         # (widest row, lower size, upper class) census matches the
         # convolution of the supporting counts against stacks and skews
         from dominotowers import recurrences
-        from dominotowers.enumerator import EnumerationRequest, enumerate_towers
 
         n = 8
         seen = set()
         pairs = {}
-        for t in enumerate_towers(EnumerationRequest(n=n, class_filter="convex")):
+        for t in enumerate_towers(n):
+            if classify(t) is TowerClass.NON_CONVEX:
+                continue
             d = dissect(t)
             key = (d.lower, d.upper)
             assert key not in seen
