@@ -223,8 +223,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    write = sys.stdout.write
     for shape in enumerate_towers(args.n, args.b):
-        print(shape)
+        write(f"{shape}\n")  # f-string, not print: TowerShape.__str__ still runs
     return 0
 
 

@@ -10,6 +10,13 @@ support-rule equivalence checked in the model tests.
 The stream order is deterministic: bases ascend, and level sets are visited
 in lexicographic order of their position tuples, depth first.
 
+The level sets above a row depend only on that row and the block budget
+left, so ``_level_sets`` is memoised on the pair (the hard cap bounds the
+memo: about 1100 entries at n = 11).  Levels stay canonical as they grow: a
+new level that reaches left of x = 0 shifts the stack through
+``TowerShape.from_levels``, which keeps the order of what grows above, so a
+leaf is wrapped as ``TowerShape(levels)`` with no rescan.
+
 The oracle has two entry points: ``enumerate_towers(n, b=None)`` streams
 the shapes, and ``census(n)`` counts them in one pass.  Being a generator,
 ``enumerate_towers`` checks its arguments when the first shape is asked for.
@@ -18,9 +25,10 @@ the shapes, and ``census(n)`` counts them in one pass.  Being a generator,
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import Iterator
 
-from .model import TowerClass, TowerShape, classify
+from .model import Levels, TowerClass, TowerShape, classify
 
 DEFAULT_HARD_CAP = 12
 
@@ -29,31 +37,39 @@ class CapExceeded(ValueError):
     """Requested size is above the enumeration cap."""
 
 
-def _level_sets(allowed: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
-    """Non-empty position tuples with pairwise gaps of at least two cells."""
+@cache
+def _level_sets(below: tuple[int, ...], max_size: int) -> tuple[tuple[int, ...], ...]:
+    """Every level that ``below`` supports, of 1..max_size dominoes.
 
-    def rec(start: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    Positions lie within one cell of a domino below and are pairwise at
+    least two cells apart; the tuples come in lexicographic order.
+    """
+    allowed = sorted({p + dx for p in below for dx in (-1, 0, 1)})
+    out: list[tuple[int, ...]] = []
+
+    def rec(start: int, chosen: tuple[int, ...]) -> None:
         for j in range(start, len(allowed)):
             x = allowed[j]
             if chosen and x - chosen[-1] < 2:
                 continue
             picked = chosen + (x,)
             if len(picked) <= max_size:
-                yield picked
-                yield from rec(j + 1, picked)
+                out.append(picked)
+                rec(j + 1, picked)
 
-    yield from rec(0, ())
+    rec(0, ())
+    return tuple(out)
 
 
-def _grow(levels: tuple[tuple[int, ...], ...], remaining: int
-          ) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _grow(levels: Levels, remaining: int) -> Iterator[Levels]:
     if remaining == 0:
         yield levels
         return
-    prev = levels[-1]
-    allowed = sorted({p + dx for p in prev for dx in (-1, 0, 1)})
-    for chosen in _level_sets(allowed, remaining):
-        yield from _grow(levels + (chosen,), remaining - len(chosen))
+    for chosen in _level_sets(levels[-1], remaining):
+        grown = levels + (chosen,)
+        if chosen[0] < 0:  # the new level reaches left of x = 0
+            grown = TowerShape.from_levels(grown).levels
+        yield from _grow(grown, remaining - len(chosen))
 
 
 def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
@@ -72,7 +88,7 @@ def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
     for base_b in range(1, n + 1) if b is None else (b,):
         base = tuple(2 * i for i in range(base_b))
         for levels in _grow((base,), n - base_b):
-            yield TowerShape.from_levels(levels)
+            yield TowerShape(levels)
 
 
 def census(n: int) -> Counter[tuple[int, int, TowerClass]]:

@@ -107,7 +107,9 @@ class TowerShape:
 
     @cached_property
     def cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.cell_list())
+        return frozenset(
+            (x + dx, y) for y, row in enumerate(self.levels) for x in row for dx in (0, 1)
+        )
 
     @property
     def height(self) -> int:
@@ -136,14 +138,26 @@ class TowerShape:
             tuple(tuple(-x - 1 for x in reversed(row)) for row in self.levels)
         )
 
-    def cell_list(self) -> list[tuple[int, int]]:
-        return sorted(
-            {(x + dx, y) for y, row in enumerate(self.levels) for x in row
-             for dx in (0, 1)}
-        )
-
     def __str__(self) -> str:
-        return " ".join(f"{x},{y}" for x, y in self.cell_list())
+        # Dominoes on a level are two or more cells apart (validate's rule;
+        # overlapping ones would list a shared cell twice), so the cells need
+        # no set.  As 0 <= y < h, sorting the integers x*h + y sorts the cells
+        # by (x, y); each key's "x,y" text comes from a list kept per height
+        # h, extended as wider shapes need it.
+        h = len(self.levels)
+        keys = [x * h + y for y, row in enumerate(self.levels) for x in row]
+        keys += [k + h for k in keys]
+        keys.sort()
+        if not (keys and 0 <= keys[0] <= keys[-1] < _CELL_TEXT_CAP):
+            return " ".join(f"{k // h},{k % h}" for k in keys)
+        texts = _CELL_TEXTS.setdefault(h, [])
+        if keys[-1] >= len(texts):
+            texts.extend(f"{k // h},{k % h}" for k in range(len(texts), keys[-1] + 1))
+        return " ".join(map(texts.__getitem__, keys))
+
+
+_CELL_TEXTS: dict[int, list[str]] = {}  # height h -> "x,y" at index x*h + y
+_CELL_TEXT_CAP = 1024  # keys past it (or below 0) are formatted one by one
 
 
 def _rests_on(left_cells_below: set[int], x: int) -> bool:
@@ -192,19 +206,23 @@ def _profile(levels: Levels) -> tuple[Spans, list[int]]:
 
 
 def _solid_rows(levels: Levels) -> bool:
-    return all(row[-1] - row[0] == 2 * (len(row) - 1) for row in levels)
+    return all(row and row[-1] - row[0] == 2 * (len(row) - 1) for row in levels)
 
 
 def _convex(levels: Levels) -> bool:
-    if not _solid_rows(levels):
+    if not _solid_rows(levels):  # also rules out an empty level
         return False
-    last: dict[int, int] = {}  # column -> highest level occupied so far
-    for y, row in enumerate(levels):
-        for x in row:
-            for c in (x, x + 1):
-                if last.get(c, y) < y - 1:  # a gap in column c
-                    return False
-                last[c] = y
+    # One bitmask per solid row, bit i for column shift + i.  A column that a
+    # row occupies, the level below leaves empty and an earlier level
+    # occupied is a gap.
+    shift = min(levels, default=(0,))[0]
+    seen = below = 0
+    for row in levels:
+        mask = ((1 << 2 * len(row)) - 1) << (row[0] - shift)
+        if mask & seen & ~below:
+            return False
+        seen |= mask
+        below = mask
     return True
 
 
@@ -259,13 +277,14 @@ def is_stack(shape: TowerShape) -> bool:
 
 
 def is_right_skewed(shape: TowerShape) -> bool:
-    spans, lengths = _profile(shape.levels)
-    return _convex(shape.levels) and _right_skew_from(spans, lengths, 0)
+    return _convex(shape.levels) and _right_skew_from(*_profile(shape.levels), 0)
 
 
 def is_left_skewed(shape: TowerShape) -> bool:
+    if not _convex(shape.levels):
+        return False
     spans, lengths = _profile(shape.levels)
-    return _convex(shape.levels) and _right_skew_from(_reflected(spans), lengths, 0)
+    return _right_skew_from(_reflected(spans), lengths, 0)
 
 
 def is_supporting(shape: TowerShape) -> bool:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes, golden bytes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -247,6 +248,25 @@ class TestEnumerate:
     def test_invalid_base(self, capsys):
         assert run(capsys, "enumerate", "--n", "2", "--b", "3")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, lines, digest",
+        [
+            (["enumerate", "--n", "8"], 16384,
+             "2eb520cddd92baf94e67aac8e8daa0ed5ed88aea2dabb327b5f64b95502ac171"),
+            (["enumerate", "--n", "7", "--b", "3"], 715,
+             "dca0b94f1a19d05a984c49a61502f96c5f6dec11dd6088a6735dd7876f4ee5db"),
+            (["verify", "--max-n", "8"], 3,
+             "9cbe8f9195a1dc63f77b1caa31d0ebeac1573a96f48db8b5fd00d14e0dc3b0c8"),
+        ],
+        ids=["enum-n8", "enum-n7-b3", "verify-n8"],
+    )
+    def test_stdout_digest(self, capsys, argv, lines, digest):
+        # byte pins for the streams past the golden files' sizes
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_closed_pipe_exits_three_quietly(self):
         argv = [sys.executable, "-m", "dominotowers", "enumerate", "--n", "9"]
         with subprocess.Popen(
@@ -454,9 +474,20 @@ class TestCacheDir:
 class TestBenchHooks:
     def test_tracer_installs(self):
         # bench/tracer.py patches package names in place; a rename breaks it
-        code = "from tracer import Tracer, install; install(Tracer())"
+        # and the spans still see the layers through the faster paths
+        code = (
+            "from tracer import Tracer, install\n"
+            "from dominotowers import cli\n"
+            "tracer = Tracer()\n"
+            "install(tracer)\n"
+            "assert cli.main(['enumerate', '--n', '4', '--b', '2']) == 0\n"
+            "print(tracer.stats('model.TowerShape.__str__')[0],"
+            " tracer.counters['enumerator.shapes'])\n"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=child_env("src", "bench"), capture_output=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr.decode()
+        # C(7, 2) = 21 towers of 4 dominoes on a base of 2
+        assert proc.stdout.decode().splitlines()[-1] == "21 21.0"

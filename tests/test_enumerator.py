@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from dominotowers import recurrences
+from dominotowers import enumerator, recurrences
 from dominotowers.enumerator import (
     CapExceeded,
     census,
@@ -52,10 +52,20 @@ class TestEnumerate:
             assert len(set(ts)) == len(ts)
 
     def test_every_yield_is_valid_and_canonical(self):
-        from dominotowers.model import validate
+        from dominotowers.model import TowerShape, validate
 
-        for t in towers(5):
-            assert validate(t)
+        for n in range(1, 9):
+            for t in enumerate_towers(n):
+                assert validate(t)
+                # leaves are built as TowerShape(levels), with no shift
+                assert TowerShape.from_levels(t.levels).levels == t.levels
+
+    def test_level_sets_are_computed_once_per_row_and_budget(self):
+        # 4^8 = 65536 towers at n = 9 ask for level sets some 21000 times,
+        # over about 300 distinct (row, budget) pairs
+        enumerator._level_sets.cache_clear()
+        assert sum(1 for _ in enumerate_towers(9)) == 4 ** 8
+        assert enumerator._level_sets.cache_info().misses <= 400
 
     def test_stream_is_deterministic(self):
         assert towers(5) == towers(5)

@@ -144,6 +144,32 @@ class TestConvexity:
         assert not is_convex(t)
 
 
+class TestEmptyLevel:
+    # a missing level leaves a column gap (or no level to rest on): no
+    # predicate holds and classify says non-convex, as validate says invalid
+    SHAPES = [
+        TowerShape.from_pairs([(0, 0), (0, 2)]),
+        TowerShape(((0, 2), ())),
+        TowerShape(((), (0,))),
+    ]
+
+    def test_levels_keep_the_empty_level(self):
+        assert self.SHAPES[0].levels == ((0,), (), (0,))
+        assert not any(validate(t) for t in self.SHAPES)
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [is_convex, is_stack, is_right_skewed, is_left_skewed, is_supporting],
+    )
+    def test_predicate_is_false(self, predicate):
+        for t in self.SHAPES:
+            assert predicate(t) is False, t.levels
+
+    def test_classify_is_non_convex(self):
+        for t in self.SHAPES:
+            assert classify(t) is TowerClass.NON_CONVEX, t.levels
+
+
 class TestClassify:
     def test_horizontal_bar_is_stack(self):
         for b in range(1, 6):

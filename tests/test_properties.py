@@ -1,9 +1,12 @@
 """Properties of the shape model over towers drawn level by level.
 
 The towers reach n = 30 blocks, past the enumeration cap, so these cover
-shapes the exhaustive tests never see.  Settings are derandomized, so every
-run draws the same examples.
+shapes the exhaustive tests never see.  ``str`` and ``is_convex`` are also
+compared with per-cell references over arbitrary level tuples, valid or not.
+Settings are derandomized, so every run draws the same examples.
 """
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -127,3 +130,77 @@ def test_validate_and_convexity_ignore_translation(pairs, dx, dy):
 @given(any_tower)
 def test_from_dominoes_restores_the_shape(t):
     assert TowerShape.from_dominoes(t.dominoes) == t
+
+
+@st.composite
+def level_tuples(draw):
+    """Any levels a TowerShape holds: gapped rows, empty levels, negative x.
+
+    Dominoes on a level stay at least two cells apart, so no cell repeats;
+    heights reach 40, past any enumerated tower.
+    """
+    levels = []
+    for _ in range(draw(st.integers(1, 40))):
+        x = draw(st.integers(-6, 6))
+        row = []
+        for gap in draw(st.lists(st.integers(2, 3), max_size=4)):
+            row.append(x)
+            x += gap
+        levels.append(tuple(row))
+    return TowerShape(tuple(levels))
+
+
+@st.composite
+def solid_level_tuples(draw):
+    """Short stacks of solid rows, possibly empty, starting in -3..3.
+
+    Most have no row gap, so column gaps decide their convexity.
+    """
+    levels = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(st.integers(-3, 3))
+        levels.append(tuple(range(x, x + 2 * draw(st.integers(0, 3)), 2)))
+    return TowerShape(tuple(levels))
+
+
+any_levels = st.one_of(
+    level_tuples(), solid_level_tuples(), any_tower, convex_towers(max_n=6)
+)
+
+
+def cells_of(t):
+    return {(x + dx, y) for y, row in enumerate(t.levels) for x in row for dx in (0, 1)}
+
+
+def is_convex_reference(t):
+    """Every level occupied and every row and every column without a gap."""
+    cells = cells_of(t)
+    if not all(t.levels):
+        return False
+    lines = {}
+    for x, y in cells:
+        lines.setdefault(("row", y), set()).add(x)
+        lines.setdefault(("column", x), set()).add(y)
+    return all(len(line) == max(line) - min(line) + 1 for line in lines.values())
+
+
+@settings(SETTINGS, max_examples=200)
+@given(any_levels)
+def test_str_lists_the_sorted_cells(t):
+    assert str(t) == " ".join(f"{x},{y}" for x, y in sorted(cells_of(t)))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(any_levels)
+def test_is_convex_matches_the_per_cell_reference(t):
+    assert is_convex(t) == is_convex_reference(t)
+
+
+def test_is_convex_matches_the_reference_on_every_short_stack():
+    # every stack of up to three solid rows of 0..2 dominoes starting in
+    # -2..3; rare column gaps at a row's edge show up here
+    rows = [()] + [tuple(range(x, x + 2 * k, 2)) for x in range(-2, 4) for k in (1, 2)]
+    for height in (1, 2, 3):
+        for levels in itertools.product(rows, repeat=height):
+            t = TowerShape(levels)
+            assert is_convex(t) == is_convex_reference(t), levels
