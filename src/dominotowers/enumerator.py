@@ -69,7 +69,10 @@ def _grow(levels: Levels, remaining: int) -> Iterator[Levels]:
         grown = levels + (chosen,)
         if chosen[0] < 0:  # the new level reaches left of x = 0
             grown = TowerShape.from_levels(grown).levels
-        yield from _grow(grown, remaining - len(chosen))
+        if remaining == len(chosen):  # a finished leaf: no frame to open
+            yield grown
+        else:
+            yield from _grow(grown, remaining - len(chosen))
 
 
 def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:

@@ -7,15 +7,14 @@ aligns offsets.  Triangle sequences are tried in a small set of candidate
 flattening orders (with and without leading all-zero rows or the zero
 diagonal) and the order is detected from the b-file itself; if no candidate
 matches the opening terms, the alignment failure is reported rather than
-guessed around.
+guessed around.  The network stack (``urllib.request``) is imported only on
+the fetch path, after the cache and the network permission are checked.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -103,6 +102,9 @@ def fetch_bfile(
         raise FetchError(
             f"no cached b-file for {seq_id} and network use is disabled"
         )
+    import urllib.error
+    import urllib.request
+
     url = bfile_url(seq_id)
     last_error: Exception | None = None
     for _ in range(2):

@@ -398,6 +398,113 @@ class TestParser:
             build_parser().parse_args([])
 
 
+def fresh_process(argv):
+    """Exit code and stdout of one ``dominotowers`` call in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "dominotowers", *argv],
+        env=child_env("src"), capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
+class TestReusedParser:
+    """One process, many ``main`` calls: the shared parser carries nothing over."""
+
+    @pytest.mark.parametrize(
+        "first, second, check",
+        [
+            pytest.param(
+                ("enumerate", "--n", "3", "--b", "2"), ("enumerate", "--n", "3"),
+                lambda out: out.count("\n") == 16,  # b is back to None
+                id="enumerate-b",
+            ),
+            pytest.param(
+                ("count", "h", "--b", "2", "--n", "4", "--k", "3"),
+                ("count", "h", "--b", "2", "--n", "4"),
+                lambda out: out == f"{recurrences.h(2, 4)}\n",  # k is back to 2
+                id="count-k",
+            ),
+            pytest.param(
+                ("table", "h", "--max-n", "4", "--max-b", "3", "--format", "markdown"),
+                ("table", "h", "--max-n", "4", "--max-b", "3"),
+                lambda out: out.startswith("n,b=1,b=2,b=3,total\n"),  # CSV again
+                id="table-format",
+            ),
+            pytest.param(
+                ("count", "z", "--b", "1", "--n", "1"),
+                ("count", "c", "--b", "4", "--n", "10"),
+                lambda out: out == "531\n",
+                id="after-rejection",
+            ),
+        ],
+    )
+    def test_each_call_matches_a_fresh_process(self, capsys, first, second, check):
+        got = []
+        for argv in (first, second):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects bad usage this way
+                code = exc.code
+            got.append((code, capsys.readouterr().out))
+        assert got == [fresh_process(first), fresh_process(second)]
+        assert got[1][0] == 0 and check(got[1][1])
+
+    def test_parser_is_built_once_per_process(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "real = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    real(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from dominotowers.cli import main\n"
+            "argv = ['count', 'h', '--b', '2', '--n', '4']\n"
+            "main(argv)\n"
+            "after_one = len(built)\n"
+            "for _ in range(4):\n"
+            "    main(argv)\n"
+            "print(after_one, len(built))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env("src"), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        after_one, after_five = map(int, proc.stdout.splitlines()[-1].split())
+        assert after_one > 0 and after_five == after_one
+
+
+class TestImports:
+    def test_cli_loads_no_network_modules(self, tmp_path):
+        # the network stack is for --fetch alone; every other call skips it
+        flat = fixtures.flatten_triangle("convex_counts.csv")
+        bfile = tmp_path / "b275662.txt"
+        bfile.write_text("".join(f"{i} {v}\n" for i, v in enumerate(flat, start=1)))
+        code = (
+            "import contextlib, io, sys\n"
+            "from pathlib import Path\n"
+            "from dominotowers import cli, oeis\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['count', 'h', '--b', '2', '--n', '4']) == 0\n"
+            "    assert cli.main(['enumerate', '--n', '3']) == 0\n"
+            f"    assert cli.main(['oeis-check', 'A275662', '--bfile', {str(bfile)!r}]) == 0\n"
+            "net = ('urllib.request', 'http.client', 'ssl', 'email', 'socket')\n"
+            "print(sorted(m for m in net if m in sys.modules))\n"
+            "import urllib.request\n"
+            "urllib.request.urlopen = lambda url, timeout=None: io.BytesIO(b'1 1\\n')\n"
+            f"cache = Path({str(tmp_path / 'cache')!r})\n"
+            "print(repr(oeis.fetch_bfile('A034296', cache, allow_network=True)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env("src"), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the fetch path still reaches urlopen, here a stand-in
+        assert proc.stdout.splitlines() == ["[]", "'1 1\\n'"]
+
+
 class TestExitCodes:
     """One row per way ``main`` maps an exception to an exit code."""
 
@@ -478,11 +585,13 @@ class TestBenchHooks:
         code = (
             "from tracer import Tracer, install\n"
             "from dominotowers import cli\n"
+            "cli.build_parser()\n"  # as bench/child.py does, before the patches
             "tracer = Tracer()\n"
             "install(tracer)\n"
             "assert cli.main(['enumerate', '--n', '4', '--b', '2']) == 0\n"
             "print(tracer.stats('model.TowerShape.__str__')[0],"
             " tracer.counters['enumerator.shapes'])\n"
+            "print(tracer.stats('cli.cmd_enumerate')[0])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -490,4 +599,7 @@ class TestBenchHooks:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         # C(7, 2) = 21 towers of 4 dominoes on a base of 2
-        assert proc.stdout.decode().splitlines()[-1] == "21 21.0"
+        *_, shapes, handler_calls = proc.stdout.decode().splitlines()
+        assert shapes == "21 21.0"
+        # a handler bound into the cached parser would hide this span
+        assert handler_calls == "1"
