@@ -3,15 +3,11 @@ for convex domino towers."""
 
 from .model import (
     Dissection,
-    Domino,
     TowerClass,
     TowerShape,
     classify,
     dissect,
     is_convex,
-    is_left_skewed,
-    is_right_skewed,
-    is_stack,
     is_supporting,
     recombine,
     validate,
@@ -22,7 +18,7 @@ from .enumerator import (
     enumerate_towers,
     gapfree_partition_census,
 )
-from .recurrences import UnsupportedK, c, g, g_k, h, h_k, r, r_k, table
+from .recurrences import UnsupportedK, c, family_value, g, h, r, table
 from .series import (
     GeometricFactor,
     SubsetBlowup,
@@ -31,7 +27,6 @@ from .series import (
     build_G,
     build_H,
     build_R,
-    expand_geometric,
 )
 from .asymptotics import (
     ConvergenceReport,

@@ -276,8 +276,6 @@ def cmd_oeis_check(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):  # exact counts can be very long
-        sys.set_int_max_str_digits(0)
     handlers = {
         "count": cmd_count,
         "table": cmd_table,
@@ -287,6 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         "series": cmd_series,
         "oeis-check": cmd_oeis_check,
     }
+    # exact counts can be very long: lift the int-to-text digit limit for this
+    # call only (0 means no limit; Python before 3.10.7 has none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     # BFileError and UnicodeDecodeError are ValueErrors: keep them above it
     try:
         return handlers[args.command](args)
@@ -306,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         message, code = exc, 1
     except ValueError as exc:
         message, code = exc, 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     print(f"error: {message}", file=sys.stderr)
     return code
 

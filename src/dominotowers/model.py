@@ -7,6 +7,8 @@ with left cell (x, y) needs a block at horizontal offset -1, 0, or +1 on
 level y-1, which is the same as asking that at least one of the cells
 (x, y-1), (x+1, y-1) is occupied.
 
+Dominoes are given and returned as their left cells (x, y).
+
 Shapes are fixed polyominoes: translations are identified by storing every
 shape in canonical position (minimum cell x and minimum level both 0), while
 rotations and reflections stay distinct.
@@ -33,18 +35,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable
-
-
-@dataclass(frozen=True, order=True)
-class Domino:
-    """One block; occupies cells (x, y) and (x+1, y)."""
-
-    x: int
-    y: int
-
-    @property
-    def cells(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.x, self.y), (self.x + 1, self.y))
 
 
 class TowerClass(Enum):
@@ -81,25 +71,21 @@ class TowerShape:
         return cls(levels)
 
     @classmethod
-    def from_dominoes(cls, dominoes: Iterable[Domino]) -> "TowerShape":
+    def from_dominoes(cls, dominoes: Iterable[tuple[int, int]]) -> "TowerShape":
+        """Shape from the (x, y) left cells of its dominoes, in any position."""
         ds = set(dominoes)
         if not ds:
             raise ValueError("a tower shape needs at least one domino")
-        min_y = min(d.y for d in ds)
-        rows: list[list[int]] = [[] for _ in range(max(d.y for d in ds) - min_y + 1)]
-        for d in ds:
-            rows[d.y - min_y].append(d.x)
+        min_y = min(y for _, y in ds)
+        rows: list[list[int]] = [[] for _ in range(max(y for _, y in ds) - min_y + 1)]
+        for x, y in ds:
+            rows[y - min_y].append(x)
         return cls.from_levels(tuple(tuple(sorted(row)) for row in rows))
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "TowerShape":
-        return cls.from_dominoes(Domino(x, y) for x, y in pairs)
-
     @property
-    def dominoes(self) -> tuple[Domino, ...]:
-        return tuple(
-            sorted(Domino(x, y) for y, row in enumerate(self.levels) for x in row)
-        )
+    def dominoes(self) -> tuple[tuple[int, int], ...]:
+        """The (x, y) left cells of the dominoes, sorted."""
+        return tuple(sorted((x, y) for y, row in enumerate(self.levels) for x in row))
 
     @property
     def n(self) -> int:
@@ -160,19 +146,11 @@ _CELL_TEXTS: dict[int, list[str]] = {}  # height h -> "x,y" at index x*h + y
 _CELL_TEXT_CAP = 1024  # keys past it (or below 0) are formatted one by one
 
 
-def _rests_on(left_cells_below: set[int], x: int) -> bool:
-    return any(x + dx in left_cells_below for dx in (-1, 0, 1))
-
-
-def offset_supported(left_cells_below: Iterable[int], domino: Domino) -> bool:
-    """Support via the three-offset rule: a block at -1, 0, or +1 below."""
-    return _rests_on(set(left_cells_below), domino.x)
-
-
-def cell_supported(cells: Iterable[tuple[int, int]], domino: Domino) -> bool:
-    """Support via occupancy of either cell directly underneath."""
+def cell_supported(cells: Iterable[tuple[int, int]], domino: tuple[int, int]) -> bool:
+    """The support rule as stated: a cell under the domino with left cell (x, y)."""
+    x, y = domino
     cs = set(cells)
-    return (domino.x, domino.y - 1) in cs or (domino.x + 1, domino.y - 1) in cs
+    return (x, y - 1) in cs or (x + 1, y - 1) in cs
 
 
 def validate(shape: TowerShape) -> bool:
@@ -192,7 +170,7 @@ def validate(shape: TowerShape) -> bool:
         return False
     for below, row in zip(levels, levels[1:]):
         below_set = set(below)
-        if not all(_rests_on(below_set, x) for x in row):
+        if not all({x - 1, x, x + 1} & below_set for x in row):  # offsets -1..1
             return False
     return True
 
@@ -269,22 +247,6 @@ def _supporting_steps(spans: Spans, lengths: list[int]) -> bool:
 def is_convex(shape: TowerShape) -> bool:
     """Row convexity and column convexity of the occupied cells."""
     return _convex(shape.levels)
-
-
-def is_stack(shape: TowerShape) -> bool:
-    """Convex with every occupied column meeting the base row."""
-    return _convex(shape.levels) and _on_base(_profile(shape.levels)[0])
-
-
-def is_right_skewed(shape: TowerShape) -> bool:
-    return _convex(shape.levels) and _right_skew_from(*_profile(shape.levels), 0)
-
-
-def is_left_skewed(shape: TowerShape) -> bool:
-    if not _convex(shape.levels):
-        return False
-    spans, lengths = _profile(shape.levels)
-    return _right_skew_from(_reflected(spans), lengths, 0)
 
 
 def is_supporting(shape: TowerShape) -> bool:

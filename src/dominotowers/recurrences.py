@@ -131,31 +131,16 @@ def _table(family: str, k: int) -> CountTable:
     return _tables[key]
 
 
-def g_k(b: int, n: int, k: int) -> int:
-    """Supporting-tower count for block length k."""
-    return _table("g", k).value(b, n)
-
-
-def h_k(b: int, n: int, k: int) -> int:
-    """Stack count for block length k."""
-    return _table("h", k).value(b, n)
-
-
-def r_k(b: int, n: int, k: int) -> int:
-    """Right-skewed count for block length k."""
-    return _table("r", k).value(b, n)
-
-
 def g(b: int, n: int) -> int:
-    return g_k(b, n, 2)
+    return _table("g", 2).value(b, n)
 
 
 def h(b: int, n: int) -> int:
-    return h_k(b, n, 2)
+    return _table("h", 2).value(b, n)
 
 
 def r(b: int, n: int) -> int:
-    return r_k(b, n, 2)
+    return _table("r", 2).value(b, n)
 
 
 def c(b: int, n: int) -> int:
@@ -171,7 +156,7 @@ def c(b: int, n: int) -> int:
 
 
 def family_value(family: str, b: int, n: int, k: int = 2) -> int:
-    """Dispatch by family key; c only exists for k=2."""
+    """The count of any family at block length k; c only exists for k=2."""
     if family in ("g", "h", "r"):
         return _table(family, k).value(b, n)
     if family == "c":

@@ -108,10 +108,6 @@ class GeometricFactor:
         return TruncatedSeries(tuple(out))
 
 
-def expand_geometric(factor: GeometricFactor, order: int) -> TruncatedSeries:
-    return factor.apply(TruncatedSeries.constant(1, order))
-
-
 def _check(b: int, method: str = FUNCTIONAL) -> None:
     if b < 1:
         raise ValueError("b must be at least 1")

@@ -63,7 +63,27 @@ class TestCount:
         code, out, err = run(capsys, "count", family, "--b", str(b), "--n", "15000")
         assert code == 0 and err == ""
         assert len(out) > 4301
-        assert out == f"{recurrences.family_value(family, b, 15000)}\n"
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{recurrences.family_value(family, b, 15000)}\n"
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["count", "c", "--b", "2", "--n", "15000"], 0),
+         (["count", "c", "--b", "2", "--n", "4", "--k", "3"], 2)],
+        ids=["long-value", "usage-error"],
+    )
+    def test_int_str_digit_limit_is_restored(self, argv, expected):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert main(argv) == expected
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestTable:
@@ -603,3 +623,23 @@ class TestBenchHooks:
         assert shapes == "21 21.0"
         # a handler bound into the cached parser would hide this span
         assert handler_calls == "1"
+
+    def test_traced_verify_runs(self):
+        # the traced benchmark's verify jobs: every name install wraps must
+        # exist, and the wrapped verification layers must still be reached
+        code = (
+            "from tracer import Tracer, install\n"
+            "from dominotowers import cli\n"
+            "tracer = Tracer()\n"
+            "install(tracer)\n"
+            "assert cli.main(['verify', '--max-n', '3']) == 0\n"
+            "for name in ('cli.run_verifications', 'model.classify',"
+            " 'model.dissect', 'model.recombine', 'recurrences.c'):\n"
+            "    assert tracer.stats(name)[0] > 0, name\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env("src", "bench"), capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().count("PASS ") == 3

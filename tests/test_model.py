@@ -6,18 +6,13 @@ import pytest
 
 from dominotowers.model import (
     Dissection,
-    Domino,
     TowerClass,
     TowerShape,
     cell_supported,
     classify,
     dissect,
     is_convex,
-    is_left_skewed,
-    is_right_skewed,
-    is_stack,
     is_supporting,
-    offset_supported,
     recombine,
     validate,
 )
@@ -25,7 +20,7 @@ from dominotowers.enumerator import enumerate_towers
 
 
 def shape(*pairs):
-    return TowerShape.from_pairs(pairs)
+    return TowerShape.from_dominoes(pairs)
 
 
 def all_towers(n, b=None):
@@ -33,7 +28,7 @@ def all_towers(n, b=None):
 
 
 # An 18-block convex tower whose widest row has 4 blocks: a supporting
-# part of rows (1,2,2,3) under a 10-block stack.  Domino left cells, bottom
+# part of rows (1,2,2,3) under a 10-block stack.  Left cells (x, y), bottom
 # to top.
 CONVEX_18_4 = shape(
     (3, 0),
@@ -61,24 +56,23 @@ SKEW_LEFT_10_4 = shape(
 
 class TestSupportRule:
     def test_cell_rule_equals_offset_rule_for_all_relative_placements(self):
-        # one domino above another at every horizontal offset that could matter
+        # one domino above another at every horizontal offset that could matter:
+        # the cell rule, the offsets -1..1 and validate all agree
         for dx in range(-4, 5):
-            below = Domino(0, 0)
-            above = Domino(dx, 1)
-            by_cell = cell_supported(below.cells, above)
-            by_offset = offset_supported([below.x], above)
-            assert by_cell == by_offset
-            assert by_cell == (abs(dx) <= 1)
+            supported = cell_supported({(0, 0), (1, 0)}, (dx, 1))
+            assert supported == (abs(dx) <= 1)
+            assert supported == validate(shape((0, 0), (dx, 1)))
 
     def test_rule_agrees_on_every_enumerated_shape(self):
+        # the enumerator emits no block that the cell rule leaves unsupported
+        checked = 0
         for n in range(1, 6):
             for t in all_towers(n):
-                for d in t.dominoes:
-                    if d.y == 0:
-                        continue
-                    assert cell_supported(t.cells, d) == offset_supported(
-                        t.levels[d.y - 1], d
-                    )
+                for x, y in t.dominoes:
+                    if y:
+                        assert cell_supported(t.cells, (x, y)), (t.levels, x, y)
+                        checked += 1
+        assert checked > 1000
 
 
 class TestValidate:
@@ -100,7 +94,7 @@ class TestValidate:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            TowerShape.from_pairs([])
+            TowerShape.from_dominoes([])
 
     def test_two_domino_window_enumeration(self):
         # all 2-domino sets with cells inside a 6x2 window, deduplicated by
@@ -108,7 +102,7 @@ class TestValidate:
         found = set()
         positions = [(x, y) for y in range(2) for x in range(5)]
         for a, b in itertools.combinations(positions, 2):
-            s = TowerShape.from_pairs([a, b])
+            s = TowerShape.from_dominoes([a, b])
             if validate(s) and s.base_b == 1:
                 found.add(s)
         assert len(found) == 3
@@ -148,7 +142,7 @@ class TestEmptyLevel:
     # a missing level leaves a column gap (or no level to rest on): no
     # predicate holds and classify says non-convex, as validate says invalid
     SHAPES = [
-        TowerShape.from_pairs([(0, 0), (0, 2)]),
+        TowerShape.from_dominoes([(0, 0), (0, 2)]),
         TowerShape(((0, 2), ())),
         TowerShape(((), (0,))),
     ]
@@ -159,7 +153,7 @@ class TestEmptyLevel:
 
     @pytest.mark.parametrize(
         "predicate",
-        [is_convex, is_stack, is_right_skewed, is_left_skewed, is_supporting],
+        [is_convex, is_supporting],
     )
     def test_predicate_is_false(self, predicate):
         for t in self.SHAPES:
@@ -187,8 +181,7 @@ class TestClassify:
     def test_rectangle_is_stack_not_skewed(self):
         t = shape((0, 0), (2, 0), (0, 1), (2, 1))
         assert classify(t) is TowerClass.STACK
-        assert not is_right_skewed(t)
-        assert not is_left_skewed(t)
+        assert classify(t.mirror()) is TowerClass.STACK
 
     def test_skew_tail_may_retreat_from_the_edge(self):
         # base 2, one row overhanging right, topped by a left-aligned domino:
@@ -208,22 +201,14 @@ class TestClassify:
         assert not is_supporting(shifted)
 
     def test_exactly_one_label_per_shape(self):
+        # the non-convex label is exactly is_convex failing, and a supporting
+        # label only goes to shapes that is_supporting accepts
         for n in range(1, 7):
             for t in all_towers(n):
                 label = classify(t)
-                predicates = {
-                    TowerClass.STACK: is_stack(t),
-                    TowerClass.RIGHT_SKEWED: is_right_skewed(t),
-                    TowerClass.LEFT_SKEWED: is_left_skewed(t),
-                }
-                if label is TowerClass.NON_CONVEX:
-                    assert not is_convex(t)
-                else:
-                    assert is_convex(t)
-                    # stack and the two skew classes are pairwise exclusive
-                    assert sum(predicates.values()) <= 1
-                    if label in predicates:
-                        assert predicates[label]
+                assert (label is TowerClass.NON_CONVEX) == (not is_convex(t))
+                if label is TowerClass.SUPPORTING:
+                    assert is_supporting(t)
 
     def test_columns_on_base_means_stack(self):
         for n in range(1, 7):
@@ -234,7 +219,7 @@ class TestClassify:
                 on_base = all(
                     lo <= x <= hi for x, _ in t.cells
                 )
-                assert on_base == is_stack(t)
+                assert on_base == (classify(t) is TowerClass.STACK)
 
 
 class TestDissection:
@@ -283,9 +268,13 @@ class TestDissection:
     def test_mirror_swaps_skew_classes(self):
         for n in range(1, 7):
             for t in all_towers(n):
-                m = t.mirror()
-                assert is_right_skewed(t) == is_left_skewed(m)
-                assert is_left_skewed(t) == is_right_skewed(m)
+                label, mirrored = classify(t), classify(t.mirror())
+                assert (label is TowerClass.RIGHT_SKEWED) == (
+                    mirrored is TowerClass.LEFT_SKEWED
+                )
+                assert (label is TowerClass.LEFT_SKEWED) == (
+                    mirrored is TowerClass.RIGHT_SKEWED
+                )
 
     def test_injective_with_convolution_counts_at_desk_scale(self):
         # at n = 8: the (lower, upper) map stays injective and the

@@ -115,13 +115,13 @@ def test_mirror_swaps_skew_and_keeps_other_labels(t):
 
 @SETTINGS
 @given(
-    st.one_of(pair_sets(), any_tower.map(lambda t: [(d.x, d.y) for d in t.dominoes])),
+    st.one_of(pair_sets(), any_tower.map(lambda t: list(t.dominoes))),
     st.integers(-50, 50),
     st.integers(-50, 50),
 )
 def test_validate_and_convexity_ignore_translation(pairs, dx, dy):
-    shape = TowerShape.from_pairs(pairs)
-    moved = TowerShape.from_pairs((x + dx, y + dy) for x, y in pairs)
+    shape = TowerShape.from_dominoes(pairs)
+    moved = TowerShape.from_dominoes((x + dx, y + dy) for x, y in pairs)
     assert validate(moved) == validate(shape)
     assert is_convex(moved) == is_convex(shape)
 

@@ -20,11 +20,8 @@ from dominotowers.recurrences import (
     c,
     family_value,
     g,
-    g_k,
     h,
-    h_k,
     r,
-    r_k,
     table,
 )
 
@@ -146,29 +143,22 @@ class TestAgainstReferenceTables:
 
 
 class TestGeneralizedBlockLength:
-    def test_reduction_to_dominoes(self):
-        for b in range(0, 13):
-            for n in range(0, 13):
-                assert g_k(b, n, 2) == g(b, n)
-                assert h_k(b, n, 2) == h(b, n)
-                assert r_k(b, n, 2) == r(b, n)
-
     def test_hand_unrolled_triomino_value(self):
         # h_{2,3}(4) = (3*1 + 1) * h_{1,3}(2) + 1 * h_{2,3}(2) = 4 + 1
-        assert h_k(1, 2, 3) == 1
-        assert h_k(2, 2, 3) == 1
-        assert h_k(2, 4, 3) == 5
+        assert family_value("h", 1, 2, 3) == 1
+        assert family_value("h", 2, 2, 3) == 1
+        assert family_value("h", 2, 4, 3) == 5
 
     def test_skew_unit_case_scales_with_block_length(self):
         # the recurrence itself fixes r(b, b+1) = k - 1: one overhanging
         # block placed in any of its k-1 offsets
         for k in (2, 3, 4, 5):
             for b in range(1, 5):
-                assert r_k(b, b + 1, k) == k - 1
+                assert family_value("r", b, b + 1, k) == k - 1
 
     def test_k_validation(self):
         with pytest.raises(UnsupportedK):
-            g_k(2, 2, 1)
+            family_value("g", 2, 2, 1)
         with pytest.raises(UnsupportedK):
             CountTable("h", k=0)
         with pytest.raises(UnsupportedK):

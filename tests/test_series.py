@@ -16,12 +16,11 @@ from dominotowers.series import (
     build_G,
     build_H,
     build_R,
-    expand_geometric,
 )
 
 
 def geo(a, lam, order):
-    return expand_geometric(GeometricFactor(a, lam), order)
+    return GeometricFactor(a, lam).apply(TruncatedSeries.constant(1, order))
 
 
 def random_series(rng, order):
