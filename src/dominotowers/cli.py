@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--b", type=int, required=True)
     p_series.add_argument("--order", type=int, default=64)
     p_series.add_argument(
-        "--method", choices=("closed-form", "functional"), default="functional"
+        "--method", choices=(series.CLOSED_FORM, series.FUNCTIONAL),
+        default=series.FUNCTIONAL,
     )
 
     p_oeis = sub.add_parser("oeis-check", help="compare a family against a b-file")
@@ -241,11 +242,10 @@ def cmd_enumerate(args) -> int:
 def cmd_series(args) -> int:
     if not 0 <= args.order <= ORDER_CAP:
         raise ValueError(f"--order must be in 0..{ORDER_CAP}")
-    method = args.method.replace("-", "_")
     builders = {
         "g": lambda: series.build_G(args.b, args.order),
-        "h": lambda: series.build_H(args.b, args.order, method),
-        "r": lambda: series.build_R(args.b, args.order, method),
+        "h": lambda: series.build_H(args.b, args.order, args.method),
+        "r": lambda: series.build_R(args.b, args.order, args.method),
         "c": lambda: series.build_C(args.b, args.order),
     }
     for n, coeff in enumerate(builders[args.family]().coeffs):

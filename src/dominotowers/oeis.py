@@ -2,13 +2,16 @@
 
 A b-file is a text file of ``index value`` lines; ``#`` starts a comment and
 both LF and CRLF are tolerated.  Comparison computes our side of a sequence
-up to the b-file's last index or a term cap, whichever is smaller, then
-aligns offsets.  Triangle sequences are tried in a small set of candidate
-flattening orders (with and without leading all-zero rows or the zero
-diagonal) and the order is detected from the b-file itself; if no candidate
-matches the opening terms, the alignment failure is reported rather than
-guessed around.  The network stack (``urllib.request``) is imported only on
-the fetch path, after the cache and the network permission are checked.
+once, up to the b-file's last index or a term cap, whichever is smaller, and
+reads it in each candidate layout: a triangle's rows are computed one at a
+time and every flattening (with and without the diagonal cell, with and
+without leading all-zero rows) is filled from the same row; partition totals
+are read from index 1 and from index 0.  The layout is detected from the
+b-file itself; if no candidate matches the opening terms, the alignment
+failure is reported rather than guessed around.  The network stack
+(``urllib.request``) is imported only on the fetch path, after the cache and
+the network permission are checked, and the cache directory is created only
+when a fetched b-file is written to it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import asymptotics, recurrences
 
@@ -94,7 +96,6 @@ def fetch_bfile(
     timeout: float = 10.0,
 ) -> str:
     """Cached b-file text; at most one retry when the network is allowed."""
-    cache_dir.mkdir(parents=True, exist_ok=True)
     cached = cache_dir / f"{seq_id}.txt"
     if cached.exists():
         return cached.read_text(encoding="utf-8")
@@ -117,6 +118,7 @@ def fetch_bfile(
     else:
         raise FetchError(f"could not fetch {url}: {last_error}")
     # whole or absent: a later run serves any <id>.txt it finds
+    cache_dir.mkdir(parents=True, exist_ok=True)
     tmp = cache_dir / f"{seq_id}.{os.getpid()}.tmp"
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -126,78 +128,42 @@ def fetch_bfile(
     return text
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One possible reading of our sequence against a b-file."""
+# triangle readings in comparison order: (name, drop each row's diagonal cell,
+# skip leading all-zero rows)
+_TRIANGLE_READINGS = (
+    ("rows b=1..n", False, False),
+    ("rows b=1..n-1", True, False),
+    ("rows b=1..n, leading zero rows skipped", False, True),
+    ("rows b=1..n-1, leading zero rows skipped", True, True),
+)
 
-    name: str
-    terms: Callable[[int], list[int]]
 
-
-def _triangle_terms(value, count: int, skip_zero_rows: bool, drop_diagonal: bool
-                    ) -> list[int]:
-    out: list[int] = []
+def _readings(family: str, limit: int) -> list[tuple[str, list[int]]]:
+    """Our side as (name, first ``limit`` terms), one pair per reading."""
+    if family == "constant":
+        digits = asymptotics.limit_constant_digits(min(limit, DIGIT_CAP))
+        return [("decimal digits", [int(d) for d in digits])]
+    if family in ("g", "partitions"):
+        value = lambda b, n: recurrences.g(b + 1, n)  # column = largest part
+    elif family in ("h", "r", "c"):
+        value = lambda b, n: recurrences.family_value(family, b, n)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    if family == "partitions":
+        totals = [
+            sum(value(b, n) for b in range(1, n + 1)) for n in range(1, limit + 1)
+        ]
+        return [("totals from n=1", totals), ("totals from n=0", [1] + totals[:-1])]
+    terms: list[list[int]] = [[] for _ in _TRIANGLE_READINGS]
     n = 0
-    while len(out) < count:
+    while any(len(out) < limit for out in terms):
         n += 1
         row = [value(b, n) for b in range(1, n + 1)]
-        if drop_diagonal:
-            row = row[:-1]
-        if skip_zero_rows and not out and all(v == 0 for v in row):
-            continue
-        out.extend(row)
-    return out[:count]
-
-
-def _triangle_candidates(value) -> list[Candidate]:
-    variants = []
-    for skip in (False, True):
-        for drop in (False, True):
-            name = "rows b=1..n" + ("-1" if drop else "")
-            if skip:
-                name += ", leading zero rows skipped"
-            variants.append(
-                Candidate(
-                    name,
-                    lambda count, s=skip, d=drop: _triangle_terms(value, count, s, d),
-                )
-            )
-    return variants
-
-
-def _partition_totals(count: int) -> list[int]:
-    return [
-        sum(recurrences.g(b, n) for b in range(2, n + 2))
-        for n in range(1, count + 1)
-    ]
-
-
-def candidates_for(family: str) -> list[Candidate]:
-    if family in ("g", "h", "r", "c"):
-        if family == "g":
-            value = lambda b, n: recurrences.g(b + 1, n)  # column = largest part
-        else:
-            value = lambda b, n: recurrences.family_value(family, b, n)
-        return _triangle_candidates(value)
-    if family == "partitions":
-        return [
-            Candidate("totals from n=1", _partition_totals),
-            Candidate(
-                "totals from n=0",
-                lambda count: [1] + _partition_totals(count - 1),
-            ),
-        ]
-    if family == "constant":
-        return [
-            Candidate(
-                "decimal digits",
-                lambda count: [
-                    int(d)
-                    for d in asymptotics.limit_constant_digits(min(count, DIGIT_CAP))
-                ],
-            )
-        ]
-    raise ValueError(f"unknown family {family!r}")
+        for (_, drop, skip), out in zip(_TRIANGLE_READINGS, terms):
+            cells = row[:-1] if drop else row
+            if out or not skip or any(cells):
+                out.extend(cells)
+    return [(name, out[:limit]) for (name, _, _), out in zip(_TRIANGLE_READINGS, terms)]
 
 
 @dataclass(frozen=True)
@@ -228,21 +194,23 @@ def compare_bfile(
     theirs = [value for _, value in entries]
     start_index = entries[0][0]
 
-    best: tuple[int, Candidate, list[int]] | None = None
-    for candidate in candidates_for(family):
-        ours = candidate.terms(limit)
+    def opening(ours: list[int]) -> int:
         prefix = 0
         for a, b in zip(ours, theirs):
             if a != b:
                 break
             prefix += 1
-        if best is None or prefix > best[0]:
-            best = (prefix, candidate, ours)
-    prefix, candidate, ours = best
+        return prefix
+
+    # max keeps the first of equal prefixes: a later reading needs a longer one
+    prefix, name, ours = max(
+        ((opening(ours), name, ours) for name, ours in _readings(family, limit)),
+        key=lambda scored: scored[0],
+    )
     if prefix < min(DETECT_PREFIX, limit):
         raise AlignmentError(
             f"could not align {seq_id} with any {family} ordering; "
-            f"best candidate {candidate.name!r} matches only {prefix} opening terms"
+            f"best candidate {name!r} matches only {prefix} opening terms"
         )
 
     matched = 0
@@ -255,7 +223,7 @@ def compare_bfile(
     return CompareResult(
         sequence_id=seq_id,
         family=family,
-        candidate=candidate.name,
+        candidate=name,
         compared=limit,
         matched=matched,
         first_mismatch=first_mismatch,

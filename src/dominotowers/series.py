@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-CLOSED_FORM = "closed_form"
+CLOSED_FORM = "closed-form"
 FUNCTIONAL = "functional"
 _METHODS = (CLOSED_FORM, FUNCTIONAL)
 

@@ -384,6 +384,17 @@ class TestOeisCheck:
         )
         assert code == 3 and "network" in err
 
+    def test_cache_dir_under_a_file_is_a_cache_miss(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, "oeis-check", "A275662", "--cache-dir", str(blocker / "cache")
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "error: no cached b-file for A275662 and network use is disabled\n"
+        )
+
     def test_overlong_term_exits_three(self, capsys, tmp_path):
         bfile = tmp_path / "b.txt"
         bfile.write_text("1 " + "1" * 4301 + "\n")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dominotowers import fixtures, oeis
+from dominotowers import fixtures, oeis, recurrences
 from dominotowers.asymptotics import limit_constant_digits
 from dominotowers.oeis import (
     AlignmentError,
@@ -91,6 +91,36 @@ class TestCompare:
         flat = fixtures.flatten_triangle("skewed_counts.csv")
         result = compare_bfile("A275599", "r", bfile_text(flat))
         assert result.ok and result.compared == 54
+
+    @pytest.mark.parametrize(
+        "table, seq_id, family",
+        [
+            ("convex_counts.csv", "A275662", "c"),
+            ("stack_counts.csv", "A275204", "h"),
+            ("skewed_counts.csv", "A275599", "r"),
+        ],
+    )
+    def test_detects_dropped_diagonal(self, table, seq_id, family):
+        cells = fixtures.load_count_table(table).cells
+        flat = [v for n, row in enumerate(cells, start=1) for v in row[: n - 1]]
+        result = compare_bfile(seq_id, family, bfile_text(flat))
+        assert result.ok
+        assert result.candidate == "rows b=1..n-1"
+        assert result.compared == 45
+
+    def test_triangle_cells_are_computed_once(self, monkeypatch):
+        calls = []
+        real = recurrences.family_value
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(recurrences, "family_value", counting)
+        flat = fixtures.flatten_triangle("convex_counts.csv")
+        assert compare_bfile("A275662", "c", bfile_text(flat)).ok
+        # 11 rows fill all four readings: the dropped-diagonal ones need 66 cells
+        assert len(calls) <= 66
 
     def test_detects_skipped_leading_zero_row(self):
         # same skew triangle but starting at the first non-zero row
@@ -183,6 +213,17 @@ class TestFetch:
         monkeypatch.setattr(urllib.request, "urlopen", refuse)
         with pytest.raises(FetchError):
             fetch_bfile("A275662", tmp_path, allow_network=False)
+
+    def test_cache_directory_is_made_only_on_write(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "not" / "yet"
+        with pytest.raises(FetchError):
+            fetch_bfile("A275662", cache_dir, allow_network=False)
+        assert not (tmp_path / "not").exists()
+        monkeypatch.setattr(
+            urllib.request, "urlopen", lambda url, timeout=None: FakeResponse(b"1 1\n")
+        )
+        assert fetch_bfile("A275662", cache_dir, allow_network=True) == "1 1\n"
+        assert (cache_dir / "A275662.txt").read_text(encoding="utf-8") == "1 1\n"
 
     def test_fetch_writes_cache_and_reuses_it(self, tmp_path, monkeypatch):
         calls = []

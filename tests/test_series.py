@@ -174,7 +174,10 @@ class TestBuilders:
         build_H(13, 5, FUNCTIONAL)  # the production path has no such limit
 
     def test_method_validation(self):
-        with pytest.raises(ValueError):
-            build_H(2, 5, "quadrature")
+        # one spelling per method: the CLI's "closed-form" is the constant itself
+        assert CLOSED_FORM == "closed-form"
+        for method in ("quadrature", "closed_form"):
+            with pytest.raises(ValueError):
+                build_H(2, 5, method)
         with pytest.raises(ValueError):
             build_G(0, 5)
