@@ -5,12 +5,18 @@ at 1/2 of multiplicity one, so its coefficients grow like theta_b * 2^n.
 The sub-exponential factor has the closed form
 
     theta_b = (1/2)^(b-1) * prod_{k=1..b-1} 2^k/(2^k - 1)
-              * (1 + sum_{i=0..b-2} 1 / prod_{k=i+1..b-1} (2^k - 1))
+              * (1 + sum_{i=0..b-2} 1 / prod_{k=i+1..b-1} (2^k - 1)).
 
-and can be assembled independently from three pieces evaluated at 1/2: the
+With the prefix products Q_i = prod_{k=1..i} (2^k - 1), Q_0 = 1, and
+D = Q_{b-1}, the same value is
+
+    theta_b = 2^((b-1)(b-2)/2) * (D + sum_{i=0..b-2} Q_i) / D^2,
+
+which theta_exact computes in integers with one Fraction at the end.
+theta_from_parts assembles theta_b from three pieces evaluated at 1/2: the
 derivative of the denominator polynomial, the numerator of 2R + H, and the
-numerator of G + 1.  Both routes must agree exactly; that identity is a
-test target, not an assumption.
+numerator of G + 1.  The two routes share no code, and they must agree
+exactly; that identity is a test target, not an assumption.
 
 Everything here is computed in exact rationals; floats and decimal strings
 appear only at the display boundary.
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import recurrences
 
@@ -40,16 +47,12 @@ def _check_b(b: int) -> None:
 def theta_exact(b: int) -> Fraction:
     """Exact sub-exponential factor theta_b."""
     _check_b(b)
-    value = Fraction(1, 2 ** (b - 1))
+    prefix, prefix_sum = 1, 0  # Q_i and Q_0 + ... + Q_(i-1)
     for k in range(1, b):
-        value *= Fraction(2 ** k, 2 ** k - 1)
-    tail = Fraction(1)
-    for i in range(0, b - 1):
-        prod = 1
-        for k in range(i + 1, b):
-            prod *= 2 ** k - 1
-        tail += Fraction(1, prod)
-    return value * tail
+        prefix_sum += prefix
+        prefix *= 2 ** k - 1
+    numerator = 2 ** ((b - 1) * (b - 2) // 2) * (prefix + prefix_sum)
+    return Fraction(numerator, prefix * prefix)
 
 
 def denominator_derivative_at_half(b: int) -> Fraction:
@@ -108,10 +111,8 @@ def limit_constant_fraction(terms: int) -> Fraction:
     """Partial product prod_{k=1..terms} 2^k/(2^k - 1), increasing in terms."""
     if terms < 1:
         raise ValueError("terms must be at least 1")
-    value = Fraction(1)
-    for k in range(1, terms + 1):
-        value *= Fraction(2 ** k, 2 ** k - 1)
-    return value
+    denominator = prod(2 ** k - 1 for k in range(1, terms + 1))
+    return Fraction(2 ** (terms * (terms + 1) // 2), denominator)
 
 
 def decimal_digits(value: Fraction, count: int) -> str:
@@ -120,13 +121,9 @@ def decimal_digits(value: Fraction, count: int) -> str:
         raise ValueError("expected a non-negative value")
     if count < 1:
         raise ValueError("count must be at least 1")
-    whole, rem = divmod(value.numerator, value.denominator)
-    digits = str(whole)
-    while len(digits) < count:
-        rem *= 10
-        d, rem = divmod(rem, value.denominator)
-        digits += str(d)
-    return digits[:count]
+    num, den = value.numerator, value.denominator
+    shift = max(0, count - len(str(num // den)))
+    return str(num * 10 ** shift // den).zfill(count)[:count]
 
 
 def limit_constant_digits(count: int) -> str:

@@ -186,6 +186,8 @@ def compare_bfile(
     text: str,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> CompareResult:
+    if term_cap < 1:
+        raise ValueError("term_cap must be at least 1")
     entries = parse_bfile(text)
     limit = min(len(entries), term_cap)
     if family == "constant":

@@ -17,9 +17,8 @@ def format_fixed(value: Fraction, decimals: int) -> str:
     if decimals < 0:
         raise ValueError("decimals must be non-negative")
     sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10 ** decimals
-    units, rem = divmod(scaled.numerator, scaled.denominator)
-    if 2 * rem >= scaled.denominator:
+    units, rem = divmod(abs(value.numerator) * 10 ** decimals, value.denominator)
+    if 2 * rem >= value.denominator:
         units += 1
     text = str(units).rjust(decimals + 1, "0")
     if decimals == 0:

@@ -4,11 +4,17 @@ The reference theta table prints one internally inconsistent pair of cells
 at b=5: the coarse estimate row should hold 3.46/16 = 0.21625 (printed
 0.21675) and the error row 0.00369 (printed 0.00319).  The computation here
 is the honest one; the discrepancy itself is asserted so it stays visible.
+
+The integer kernels (theta_exact, limit_constant_fraction, decimal_digits,
+format_fixed) are also compared with per-factor Fraction and digit-by-digit
+references written out below, one step per factor or digit.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dominotowers import fixtures
 from dominotowers.asymptotics import (
@@ -25,6 +31,51 @@ from dominotowers.asymptotics import (
     theta_from_parts,
 )
 from dominotowers.render import format_fixed
+
+
+def reference_theta(b):
+    """The docstring product and sum, one Fraction per factor and term."""
+    value = Fraction(1, 2 ** (b - 1))
+    for k in range(1, b):
+        value *= Fraction(2 ** k, 2 ** k - 1)
+    tail = Fraction(1)
+    for i in range(0, b - 1):
+        prod = 1
+        for k in range(i + 1, b):
+            prod *= 2 ** k - 1
+        tail += Fraction(1, prod)
+    return value * tail
+
+
+def reference_limit_product(terms):
+    value = Fraction(1)
+    for k in range(1, terms + 1):
+        value *= Fraction(2 ** k, 2 ** k - 1)
+    return value
+
+
+def reference_digits(value, count):
+    """Long division, one divmod per digit, integer part first."""
+    whole, rem = divmod(value.numerator, value.denominator)
+    digits = str(whole)
+    while len(digits) < count:
+        rem *= 10
+        d, rem = divmod(rem, value.denominator)
+        digits += str(d)
+    return digits[:count]
+
+
+def reference_fixed(value, decimals):
+    """Round half up on the scaled Fraction abs(value) * 10^decimals."""
+    sign = "-" if value < 0 else ""
+    scaled = abs(value) * 10 ** decimals
+    units, rem = divmod(scaled.numerator, scaled.denominator)
+    if 2 * rem >= scaled.denominator:
+        units += 1
+    text = str(units).rjust(decimals + 1, "0")
+    if decimals == 0:
+        return sign + text
+    return f"{sign}{text[:-decimals]}.{text[-decimals:]}"
 
 
 class TestThetaExact:
@@ -46,6 +97,10 @@ class TestThetaExact:
         with pytest.raises(UnsupportedB):
             theta_from_parts(1)
 
+    @pytest.mark.parametrize("b", [*range(2, 65), 100, 128])
+    def test_matches_per_factor_reference(self, b):
+        assert theta_exact(b) == reference_theta(b)
+
 
 class TestAssemblyParts:
     def test_denominator_derivative(self):
@@ -65,13 +120,17 @@ class TestAssemblyParts:
         assert numerator_bar_at_half(3) == Fraction(5, 8)
 
     def test_assembled_theta_equals_closed_form(self):
-        for b in range(2, 17):
+        for b in range(2, 65):
             assert theta_from_parts(b) == theta_exact(b)
 
 
 class TestLimitConstant:
     def test_single_term(self):
         assert limit_constant_fraction(1) == 2
+
+    def test_matches_per_factor_reference(self):
+        for terms in range(1, 201):
+            assert limit_constant_fraction(terms) == reference_limit_product(terms)
 
     def test_partial_products_increase_and_stay_bounded(self):
         bound = Fraction(34627466196, 10 ** 10)
@@ -93,6 +152,17 @@ class TestLimitConstant:
         assert decimal_digits(Fraction(22, 7), 6) == "314285"
         with pytest.raises(ValueError):
             decimal_digits(Fraction(-1, 2), 3)
+
+    def test_decimal_digits_match_long_division(self):
+        rng = random.Random(12)
+        values = [Fraction(0), Fraction(1), Fraction(1, 8), Fraction(10, 3),
+                  Fraction(123456789, 1000), limit_constant_fraction(90)]
+        for _ in range(200):
+            den = rng.randrange(1, 10 ** rng.randrange(1, 60))
+            values.append(Fraction(rng.randrange(0, 10 ** rng.randrange(1, 60)), den))
+        for value in values:
+            for count in range(1, 81):
+                assert decimal_digits(value, count) == reference_digits(value, count)
 
 
 class TestEstimateRows:
@@ -165,3 +235,32 @@ class TestFormatFixed:
         assert format_fixed(Fraction(5, 2), 0) == "3"
         with pytest.raises(ValueError):
             format_fixed(Fraction(1), -1)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        value=st.one_of(
+            st.fractions(max_denominator=10 ** 30),
+            st.integers(-(10 ** 20), 10 ** 20),
+        ),
+        decimals=st.integers(0, 40),
+    )
+    @example(value=Fraction(1, 8), decimals=2)
+    @example(value=Fraction(-1, 8), decimals=2)
+    @example(value=Fraction(0), decimals=0)
+    @example(value=0, decimals=3)
+    @example(value=-7, decimals=0)
+    @example(value=Fraction(-1, 2), decimals=0)
+    @example(value=Fraction(-1, 3), decimals=40)
+    def test_matches_scaled_fraction_rule(self, value, decimals):
+        assert format_fixed(value, decimals) == reference_fixed(value, decimals)
+
+    def test_exact_ties_round_away_from_zero(self):
+        rng = random.Random(40)
+        for decimals in range(0, 41):
+            for _ in range(10):
+                odd = 2 * rng.randrange(0, 10 ** rng.randrange(1, 30)) + 1
+                for value in (Fraction(odd, 2 * 10 ** decimals),
+                              Fraction(-odd, 2 * 10 ** decimals)):
+                    text = format_fixed(value, decimals)
+                    assert text == reference_fixed(value, decimals)
+                    assert text.lstrip("-").replace(".", "").lstrip("0") == str(odd // 2 + 1)

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,31 @@ class TestTheta:
         code, out, _ = run(capsys, "theta", "--max-b", "2", "--decimals", decimals)
         assert code == 0
         assert out.splitlines()[1] == "theta,2." + "0" * cli.THETA_MAX_DECIMALS
+
+    def test_forty_bases_twelve_decimals_golden(self, capsys):
+        argv = ["theta", "--max-b", "40", "--decimals", "12", "--format", "tsv"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / "theta_b40_d12.tsv").read_text()
+
+    def test_largest_input_digest(self, capsys):
+        # byte pin for the largest accepted input, every cell at both caps
+        code, out, _ = run(
+            capsys,
+            "theta", "--max-b", str(cli.THETA_MAX_B),
+            "--decimals", str(cli.THETA_MAX_DECIMALS),
+        )
+        assert code == 0
+        assert out.count("\n") == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "96622911d202701695aa2c2b3af760cc140c247c89e483f83674b0f237137ea7"
+        )
+
+    def test_largest_base_is_cheap(self, capsys):
+        start = time.process_time()
+        code, _, _ = run(capsys, "theta", "--max-b", str(cli.THETA_MAX_B))
+        assert code == 0
+        assert time.process_time() - start < 0.25
 
 
 class TestVerify:

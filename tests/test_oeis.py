@@ -171,6 +171,12 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_bfile("A000001", "digits", bfile_text([1, 2, 3]))
 
+    @pytest.mark.parametrize("term_cap", [0, -1])
+    def test_term_cap_below_one(self, term_cap):
+        flat = fixtures.flatten_triangle("convex_counts.csv")
+        with pytest.raises(ValueError, match="^term_cap must be at least 1$"):
+            compare_bfile("A275662", "c", bfile_text(flat), term_cap=term_cap)
+
 
 class FakeResponse:
     """Stands in for the response urllib.request.urlopen returns."""
