@@ -242,6 +242,8 @@ def cmd_enumerate(args) -> int:
 def cmd_series(args) -> int:
     if not 0 <= args.order <= ORDER_CAP:
         raise ValueError(f"--order must be in 0..{ORDER_CAP}")
+    if args.method == series.CLOSED_FORM and args.family not in ("h", "r"):
+        raise ValueError(f"--method {series.CLOSED_FORM} applies to h and r only")
     builders = {
         "g": lambda: series.build_G(args.b, args.order),
         "h": lambda: series.build_H(args.b, args.order, args.method),

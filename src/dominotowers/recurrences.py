@@ -19,9 +19,11 @@ Families, all counted as fixed polyominoes made of n blocks of length k
 
 * c(b, n): convex towers whose widest row has b blocks (k=2 only), computed
   as the coefficient-level convolution
-      c(b, n) = sum_m (g(b, m) + [m = 0]) * (2 r(b, n-m) + h(b, n-m)).
-  This path is deliberately independent of the series module so the two can
-  cross-check each other.
+      c(b, n) = sum_m (g(b, m) + [m = 0]) * (2 r(b, n-m) + h(b, n-m))
+  over row b of the g, r and h tables: each is grown once through the top
+  column, 2r + h is built once, and only the nonzero g terms are summed.
+  It is zero for n < b.  This path is deliberately independent of the
+  series module so the two can cross-check each other.
 
 Tables only ever grow: rows b = 1, 2, ... are extended in n by a loop, never
 rebuilt, and running sums over i <= b make each new cell O(1).  For m = n - b
@@ -143,39 +145,57 @@ def r(b: int, n: int) -> int:
     return _table("r", 2).value(b, n)
 
 
+def _convex(b: int, columns: range) -> list[int]:
+    """c(b, n) for each n in columns (b >= 1, columns ascending and nonempty),
+    summed over row b of the g, r and h tables."""
+    top = columns[-1]
+    g_table, r_table = _table("g", 2), _table("r", 2)
+    g_table.ensure(b, top)
+    r_table.ensure(b, top)
+    g_row, r_row, h_row = g_table._rows[b], r_table._rows[b], _table("h", 2)._rows[b]
+    tail = [2 * r_row[j] + h_row[j] for j in range(top + 1)]
+    # g(b, 0) is 0, so [m = 0] is the whole m = 0 term; tail[j] is 0 for j < b
+    terms = [(0, 1)] + [(m, v) for m, v in enumerate(g_row[1 : top + 1], 1) if v]
+    out = []
+    for n in columns:
+        total = 0
+        for m, v in terms:
+            if m > n - b:
+                break
+            total += v * tail[n - m]
+        out.append(total)
+    return out
+
+
 def c(b: int, n: int) -> int:
-    """Convex-tower count via the convolution of g against 2r + h."""
-    if b < 1 or n < 0:
+    """Convex-tower count: the convolution of row b of g against 2r + h."""
+    if b < 1 or n < b:
         return 0
-    total = 0
-    for m in range(0, n + 1):
-        left = g(b, m) + (1 if m == 0 else 0)
-        if left:
-            total += left * (2 * r(b, n - m) + h(b, n - m))
-    return total
+    return _convex(b, range(n, n + 1))[0]
 
 
 def family_value(family: str, b: int, n: int, k: int = 2) -> int:
     """The count of any family at block length k; c only exists for k=2."""
-    if family in ("g", "h", "r"):
-        return _table(family, k).value(b, n)
     if family == "c":
-        if k != 2:
-            raise UnsupportedK("the convex family is only defined for k=2")
+        _require_dominoes(k)
         return c(b, n)
-    raise ValueError(f"unknown family {family!r}")
+    return _table(family, k).value(b, n)
+
+
+def _require_dominoes(k: int) -> None:
+    if k != 2:
+        raise UnsupportedK("the convex family is only defined for k=2")
 
 
 def table(family: str, max_n: int, max_b: int, k: int = 2) -> list[list[int]]:
     """Rectangular extract: rows n = 1..max_n, columns b = 1..max_b."""
     if max_n < 1 or max_b < 1:
         raise ValueError("table bounds must be at least 1")
-    if family in ("g", "h", "r"):
+    if family == "c":
+        _require_dominoes(k)
+        rows = [[0] + _convex(b, range(1, max_n + 1)) for b in range(1, max_b + 1)]
+    else:
         t = _table(family, k)
         t.ensure(max_b, max_n)
         rows = t._rows[1 : max_b + 1]
-        return [[row[n] for row in rows] for n in range(1, max_n + 1)]
-    return [
-        [family_value(family, b, n, k) for b in range(1, max_b + 1)]
-        for n in range(1, max_n + 1)
-    ]
+    return [[row[n] for row in rows] for n in range(1, max_n + 1)]

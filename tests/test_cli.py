@@ -49,6 +49,15 @@ class TestCount:
         assert code == 2
         assert "only defined" in err
 
+    def test_convex_outside_its_region_grows_nothing(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table grew")
+
+        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences.CountTable, "ensure", refuse)
+        code, out, _ = run(capsys, "count", "c", "--b", "100000000", "--n", "5")
+        assert code == 0 and out == "0\n"
+
     def test_out_of_memory_exits_two(self, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError
@@ -224,13 +233,22 @@ class TestVerify:
             "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
             "r(1,1): census 0 != recurrence 1; "
             "mirror(1,1): census 0 != recurrence 1; "
-            "c(1,1): census 1 != recurrence 3; "
             "r(1,2): census 1 != recurrence 2; "
             "mirror(1,2): census 1 != recurrence 2; "
-            "c(1,2): census 3 != recurrence 5; "
             "r(2,2): census 0 != recurrence 1; "
-            "mirror(2,2): census 0 != recurrence 1; "
-            "c(2,2): census 1 != recurrence 7"
+            "mirror(2,2): census 0 != recurrence 1"
+        )
+
+    def test_convex_mismatch_fails_census_check(self, capsys, monkeypatch):
+        real = recurrences.c
+        monkeypatch.setattr(recurrences, "c", lambda b, n: real(b, n) + 1)
+        code, out, _ = run(capsys, "verify", "--max-n", "2")
+        assert code == 1
+        assert out.splitlines()[1] == (
+            "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
+            "c(1,1): census 1 != recurrence 2; "
+            "c(1,2): census 3 != recurrence 4; "
+            "c(2,2): census 1 != recurrence 2"
         )
 
     def test_duplicate_shape_fails_count_check(self, capsys, monkeypatch):
@@ -362,6 +380,15 @@ class TestSeries:
 
     def test_order_cap(self, capsys):
         assert run(capsys, "series", "g", "--b", "2", "--order", "5000")[0] == 2
+
+    @pytest.mark.parametrize("family", ["g", "c"])
+    def test_closed_form_needs_h_or_r(self, capsys, family):
+        code, out, err = run(
+            capsys, "series", family, "--b", "2", "--order", "4",
+            "--method", "closed-form",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --method closed-form applies to h and r only\n"
 
     def test_subset_blowup_is_usage_error(self, capsys):
         code, _, err = run(
@@ -581,6 +608,10 @@ class TestExitCodes:
             pytest.param(
                 ("count", "h", "--b", "2", "--n", "4", "--k", "1"), None, 2,
                 id="unsupported-k",
+            ),
+            pytest.param(
+                ("series", "g", "--b", "2", "--order", "4", "--method", "closed-form"),
+                None, 2, id="closed-form-g",
             ),
             pytest.param(("theta", "--max-b", "129"), None, 2, id="theta-b"),
             pytest.param(

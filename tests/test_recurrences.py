@@ -55,6 +55,22 @@ def reference_tables(k: int) -> dict[str, dict[tuple[int, int], int]]:
     return {"g": g, "h": h, "r": r}
 
 
+@functools.cache
+def reference_convex() -> dict[tuple[int, int], int]:
+    """The docstring convolution for c over the k=2 reference tables."""
+    ref = reference_tables(2)
+    g, h, r = (ref[f] for f in "ghr")
+    return {
+        (b, n): sum(
+            (g.get((b, m), 0) + (m == 0))
+            * (2 * r.get((b, n - m), 0) + h.get((b, n - m), 0))
+            for m in range(n + 1)
+        )
+        for b in range(1, REF_MAX_B + 1)
+        for n in range(REF_MAX_N + 1)
+    }
+
+
 class TestSpotValues:
     def test_supporting_family(self):
         assert g(4, 3) == 1
@@ -232,6 +248,40 @@ class TestAgainstDocstringRecurrences:
                     for n in range(1, max_n + 1)
                 ], (family, max_n, max_b)
 
+    def test_convex_reads_match_reference(self, monkeypatch):
+        monkeypatch.setattr(recurrences, "_tables", {})
+        ref = reference_convex()
+        reads = {"g": g, "h": h, "r": r, "c": c}
+        known = {**reference_tables(2), "c": ref}
+        rng = random.Random(13)
+        # c reads rows that g/h/r reads grew to other lengths, and the other
+        # way round
+        for step in range(2000):
+            family = rng.choice("ghrc")
+            b = rng.randint(-2, min(REF_MAX_B, 2 + step // 50))
+            n = rng.randint(-2, min(REF_MAX_N, 2 + step // 10))
+            assert reads[family](b, n) == known[family].get((b, n), 0), (family, b, n)
+        for b in range(-2, REF_MAX_B + 1):
+            for n in range(-2, REF_MAX_N + 1):
+                assert c(b, n) == ref.get((b, n), 0), (b, n)
+
+    def test_convex_table_extracts_match_reference(self, monkeypatch):
+        monkeypatch.setattr(recurrences, "_tables", {})
+        ref = reference_convex()
+        for max_n, max_b in [(5, 30), (60, 40), (200, 3), (1, 1)]:
+            assert table("c", max_n, max_b) == [
+                [ref[b, n] for b in range(1, max_b + 1)] for n in range(1, max_n + 1)
+            ], (max_n, max_b)
+
+    @pytest.mark.parametrize("b, n", [(10**8, 5), (5, 4), (0, 7), (3, -1)])
+    def test_convex_outside_its_region_grows_nothing(self, monkeypatch, b, n):
+        def refuse(*args):
+            raise AssertionError(f"c({b}, {n}) grew a table")
+
+        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(CountTable, "ensure", refuse)
+        assert c(b, n) == 0
+
     @pytest.mark.parametrize(
         "family, b, n",
         [
@@ -261,6 +311,12 @@ class TestGrowthCost:
         monkeypatch.setattr(recurrences, "_tables", {})
         start = time.process_time()
         c(6, 2000)
+        assert time.process_time() - start < 1.0
+
+    def test_convex_table(self, monkeypatch):
+        monkeypatch.setattr(recurrences, "_tables", {})
+        start = time.process_time()
+        table("c", 200, 200)
         assert time.process_time() - start < 1.0
 
     def test_partition_totals_walk(self, monkeypatch):
