@@ -250,8 +250,8 @@ def cmd_series(args) -> int:
         "r": lambda: series.build_R(args.b, args.order, args.method),
         "c": lambda: series.build_C(args.b, args.order),
     }
-    for n, coeff in enumerate(builders[args.family]().coeffs):
-        print(n, coeff)
+    coeffs = builders[args.family]().coeffs
+    sys.stdout.write("".join(f"{n} {coeff}\n" for n, coeff in enumerate(coeffs)))
     return 0
 
 

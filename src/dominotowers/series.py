@@ -1,18 +1,18 @@
 """Truncated formal power series with exact integer coefficients.
 
 Every generating function used here is a sum of products of geometric
-factors x^a / (1 - lam*x^a) with lam in {1, 2}.  Such a factor is a linear
-recurrence, so multiplying a series by it is the O(N) filter
-out[n] = s[n-a] + lam*out[n-a] (`GeometricFactor.apply`).  That filter is
-the only product here: `*` takes an integer only, and no expansion needs
-rational coefficients or polynomial division.  Addition truncates to the
-smaller operand order and never extends it silently.
+factors x^a / (1 - lam*x^a) with lam in {1, 2}.  Multiplying by one is the
+O(N) filter out[n] = s[n-a] + lam*out[n-a] (`_filter`), the only product:
+`*` takes an integer only, and nothing needs rational coefficients or
+polynomial division.  Addition truncates to the smaller operand order.
 
-Each family can be built two ways: from the closed form (sums over subsets
-of {1..b-1}, enumerated by binary counter, practical up to b = 12) and from
-the functional equation that the recurrence induces, evaluated with running
-sums so each base costs a constant number of filters.  The functional path
-is the production one; the closed forms exist to cross-check it.
+The builders run on plain coefficient lists, one fused pass per filter input
+and per running-sum update, and wrap the result in a `TruncatedSeries` once.
+Each family has two routes.  The closed form sums over subsets of {1..b-1}
+walked depth first: a child extends its parent's product by one weighted
+filter and each subset adds its own term (practical up to b = 12).  The
+functional equation runs on running sums, a constant number of filters per
+base; it is the production route, and the closed forms cross-check it.
 """
 
 from __future__ import annotations
@@ -101,11 +101,16 @@ class GeometricFactor:
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
         """s times this factor, by the filter out[n] = s[n-a] + lam*out[n-a]."""
-        a, lam, cs = self.a, self.lam, s.coeffs
-        out = [0] * len(cs)
-        for n in range(a, len(cs)):
-            out[n] = cs[n - a] + lam * out[n - a]
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(tuple(_filter(self.a, self.lam, s.coeffs)))
+
+
+def _filter(a: int, lam: int, coeffs) -> list[int]:
+    """coeffs times x^a / (1 - lam*x^a): shift by a, then out[n] += lam*out[n-a]."""
+    out = [0] * min(a, len(coeffs))
+    out += coeffs[: len(coeffs) - len(out)]
+    for n in range(2 * a, len(out)):
+        out[n] += lam * out[n - a]
+    return out
 
 
 def _check(b: int, method: str = FUNCTIONAL) -> None:
@@ -119,12 +124,11 @@ def _check(b: int, method: str = FUNCTIONAL) -> None:
         )
 
 
-def _supporting_chain(b: int, s: TruncatedSeries) -> TruncatedSeries:
-    """G_b * s: the sum over i < b of s times prod_{j<=i} x^(b-j)/(1-x^(b-j))."""
-    total = TruncatedSeries.zero(s.order)
+def _supporting_chain(b: int, s: list[int], total: list[int]) -> list[int]:
+    """total + G_b * s, G_b * s = sum_{i<b} s * prod_{j<=i} x^(b-j)/(1-x^(b-j))."""
     for j in range(1, b):
-        s = GeometricFactor(b - j, 1).apply(s)
-        total = total + s
+        s = _filter(b - j, 1, s)
+        total = [t + v for t, v in zip(total, s)]
     return total
 
 
@@ -134,14 +138,30 @@ def build_G(b: int, order: int) -> TruncatedSeries:
     b=1 is the empty sum, the zero series.
     """
     _check(b)
-    return _supporting_chain(b, TruncatedSeries.constant(1, order))
+    one = [1] + [0] * order
+    return TruncatedSeries(tuple(_supporting_chain(b, one, [0] * (order + 1))))
 
 
-def _subsets(members):
-    """All subsets of members as tuples in the given order, by binary counter."""
-    members = tuple(members)
-    for mask in range(1 << len(members)):
-        yield tuple(m for pos, m in enumerate(members) if mask >> pos & 1)
+def _subset_sum(root: list[int], low: int, high: int, lam: int, weight) -> list[int]:
+    """Sum over subsets S of {low..high-1} of root * prod_{k in S} w x^k/(1-lam*x^k),
+    w = weight(above, k) with above the next member of S, or high, above k.  Depth
+    first from high down: a child adds one k below its parent's smallest member and
+    extends the parent's product by one filter, its weight folded into the input."""
+    total = [0] * len(root)
+    stack = [(root, high)]
+    while stack:
+        term, above = stack.pop()
+        total = [t + v for t, v in zip(total, term)]
+        for k in range(low, above):
+            w = weight(above, k)
+            stack.append((_filter(k, lam, [w * v for v in term]), k))
+    return total
+
+
+def _closed_H(b: int, order: int) -> list[int]:
+    """Closed-form H_b: x^b/(1-x^b) * sum over S of prod (2(above-k)+1) x^k/(1-x^k)."""
+    total = _subset_sum([1] + [0] * order, 1, b, 1, lambda up, k: 2 * (up - k) + 1)
+    return _filter(b, 1, total)
 
 
 def _stacks(b: int, order: int):
@@ -149,36 +169,34 @@ def _stacks(b: int, order: int):
 
     The inner sum is (2i+1)*sum H_j - 2*sum j*H_j, kept as two running sums.
     """
-    sum_h = sum_jh = TruncatedSeries.zero(order)
+    sum_h = sum_jh = [0] * (order + 1)
     for i in range(1, b + 1):
-        h = GeometricFactor(i, 1).apply(1 + (2 * i + 1) * sum_h - 2 * sum_jh)
+        c = 2 * i + 1
+        term = [c * s - 2 * t for s, t in zip(sum_h, sum_jh)]
+        term[0] += 1
+        h = _filter(i, 1, term)
         yield h
-        sum_h = sum_h + h
-        sum_jh = sum_jh + i * h
+        sum_h = [s + v for s, v in zip(sum_h, h)]
+        sum_jh = [t + i * v for t, v in zip(sum_jh, h)]
 
 
-def _stack_and_skew(b: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+def _stack_and_skew(b: int, order: int) -> tuple[list[int], list[int]]:
     """(H_b, R_b) from R_i = x^i/(1-2x^i) * (H_i + sum_{j<i} (2R_j + H_j))."""
-    sum_rh = TruncatedSeries.zero(order)
+    sum_rh = [0] * (order + 1)
     for i, h in enumerate(_stacks(b, order), start=1):
-        r = GeometricFactor(i, 2).apply(h + sum_rh)
-        sum_rh = sum_rh + 2 * r + h
+        r = _filter(i, 2, [v + s for v, s in zip(h, sum_rh)])
+        sum_rh = [s + 2 * x + v for s, x, v in zip(sum_rh, r, h)]
     return h, r
 
 
 def build_H(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     """Stack series for base b."""
     _check(b, method)
-    if method == FUNCTIONAL:
-        *_, h = _stacks(b, order)
-        return h
-    total = TruncatedSeries.zero(order)
-    for subset in _subsets(range(1, b)):
-        term = TruncatedSeries.constant(1, order)
-        for k, above in zip(subset, subset[1:] + (b,)):
-            term = (2 * (above - k) + 1) * GeometricFactor(k, 1).apply(term)
-        total = total + term
-    return GeometricFactor(b, 1).apply(total)
+    if method == CLOSED_FORM:
+        return TruncatedSeries(tuple(_closed_H(b, order)))
+    for h in _stacks(b, order):  # keep one H_i alive at a time, not all b
+        pass
+    return TruncatedSeries(tuple(h))
 
 
 def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
@@ -190,21 +208,17 @@ def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     """
     _check(b, method)
     if method == FUNCTIONAL:
-        return _stack_and_skew(b, order)[1]
-    total = TruncatedSeries.zero(order)
+        return TruncatedSeries(tuple(_stack_and_skew(b, order)[1]))
+    total = [0] * (order + 1)
     for j in range(1, b + 1):
-        h_j = build_H(j, order, CLOSED_FORM)
-        for subset in _subsets(range(j, b)):
-            term = h_j
-            for k in subset:
-                term = 2 * GeometricFactor(k, 2).apply(term)
-            total = total + term
-    return GeometricFactor(b, 2).apply(total)
+        part = _subset_sum(_closed_H(j, order), j, b, 2, lambda up, k: 2)
+        total = [t + v for t, v in zip(total, part)]
+    return TruncatedSeries(tuple(_filter(b, 2, total)))
 
 
 def build_C(b: int, order: int) -> TruncatedSeries:
     """Convex-tower series: (G + 1) * (2R + H), with G applied as its chain."""
     _check(b)
     h, r = _stack_and_skew(b, order)
-    right = 2 * r + h
-    return right + _supporting_chain(b, right)
+    right = [2 * x + v for x, v in zip(r, h)]
+    return TruncatedSeries(tuple(_supporting_chain(b, right, right)))

@@ -359,6 +359,30 @@ class TestSeries:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["c", "--b", "8", "--order", "2048"],
+             "73a04e0e1207e13e7504b5ce5bc47b9b70a8c19725cea8ee6354859a4573e11b"),
+            (["g", "--b", "10", "--order", "600"],
+             "d3c115fb739813fc8de60cfd4549ef2bc633a56454ad5ebe423086eef36475ae"),
+            (["h", "--b", "12", "--order", "48", "--method", "closed-form"],
+             "6bc5657dd031d8cd1e1af4d6f837a391508c72d2d4bc78f1cca2e28ab7e80a62"),
+            (["r", "--b", "9", "--order", "24", "--method", "closed-form"],
+             "8b9db214d7e20a124a23de03c616a3e5b5647499f8e0ad7338de4c04ed513d32"),
+            (["r", "--b", "1", "--order", "0"],
+             "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101"),
+        ],
+        ids=["c-b8-o2048", "g-b10-o600", "h-b12-o48-closed", "r-b9-o24-closed",
+             "r-b1-o0"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        # byte pins past the golden files' sizes, both methods, the empty tail
+        code, out, _ = run(capsys, "series", *argv)
+        assert code == 0
+        assert out.count("\n") == int(argv[4]) + 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_convex_at_order_cap(self, capsys):
         code, out, _ = run(capsys, "series", "c", "--b", "4", "--order", "4096")
         lines = out.splitlines()

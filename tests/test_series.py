@@ -1,6 +1,7 @@
 """Series arithmetic and the two construction routes for each family."""
 
 import random
+import time
 
 import pytest
 
@@ -35,6 +36,44 @@ def naive_apply(factor, s):
         for n in range(factor.a * j, s.order + 1):
             out[n] += weight * s.coeffs[n - factor.a * j]
     return tuple(out)
+
+
+def subsets(members):
+    """All subsets of members as tuples in the given order, by binary counter."""
+    members = tuple(members)
+    for mask in range(1 << len(members)):
+        yield tuple(m for pos, m in enumerate(members) if mask >> pos & 1)
+
+
+def naive_times(k, lam, s):
+    """s times x^k / (1 - lam*x^k) by the literal convolution, not the filter."""
+    return TruncatedSeries(naive_apply(GeometricFactor(k, lam), s))
+
+
+def reference_closed_H(b, order):
+    """x^b/(1-x^b) * sum over S of {1..b-1} of prod (2(above-k)+1) x^k/(1-x^k),
+    every subset's product rebuilt from 1."""
+    total = TruncatedSeries.zero(order)
+    for subset in subsets(range(1, b)):
+        term = TruncatedSeries.constant(1, order)
+        for k, above in zip(subset, subset[1:] + (b,)):
+            term = (2 * (above - k) + 1) * naive_times(k, 1, term)
+        total = total + term
+    return naive_times(b, 1, total)
+
+
+def reference_closed_R(b, order):
+    """x^b/(1-2x^b) * sum over j of H_j * sum over S of {j..b-1} of
+    prod 2x^k/(1-2x^k), every subset's product rebuilt from H_j."""
+    total = TruncatedSeries.zero(order)
+    for j in range(1, b + 1):
+        h_j = reference_closed_H(j, order)
+        for subset in subsets(range(j, b)):
+            term = h_j
+            for k in subset:
+                term = 2 * naive_times(k, 2, term)
+            total = total + term
+    return naive_times(b, 2, total)
 
 
 class TestArithmetic:
@@ -144,6 +183,12 @@ class TestBuilders:
             assert build_H(b, 30, CLOSED_FORM) == build_H(b, 30, FUNCTIONAL)
             assert build_R(b, 30, CLOSED_FORM) == build_R(b, 30, FUNCTIONAL)
 
+    @pytest.mark.parametrize("b", range(1, 11))
+    def test_closed_forms_match_reference(self, b):
+        for order in (0, 1, b, 30):
+            assert build_H(b, order, CLOSED_FORM) == reference_closed_H(b, order)
+            assert build_R(b, order, CLOSED_FORM) == reference_closed_R(b, order)
+
     def test_series_match_recurrences(self):
         for b in range(1, 9):
             gs = build_G(b, 30)
@@ -181,3 +226,12 @@ class TestBuilders:
                 build_H(2, 5, method)
         with pytest.raises(ValueError):
             build_G(0, 5)
+
+
+class TestBuildCost:
+    """The closed forms walk subsets depth first; no product is rebuilt."""
+
+    def test_largest_closed_form_skew(self):
+        start = time.process_time()
+        build_R(12, 48, CLOSED_FORM)
+        assert time.process_time() - start < 0.25
