@@ -21,9 +21,9 @@ Families, all counted as fixed polyominoes made of n blocks of length k
   as the coefficient-level convolution
       c(b, n) = sum_m (g(b, m) + [m = 0]) * (2 r(b, n-m) + h(b, n-m))
   over row b of the g, r and h tables: each is grown once through the top
-  column, 2r + h is read from column b up (built once for many columns),
-  and only the nonzero g terms are summed.  It is zero for n < b.  This
-  path is independent of the series module so the two cross-check.
+  column, 2r + h is built once from column b up, and only the nonzero g
+  terms are summed.  It is zero for n < b.  This path is deliberately
+  independent of the series module so the two can cross-check each other.
 
 Tables only ever grow: rows b = 1, 2, ... are extended in n by a loop, never
 rebuilt, and running sums over i <= b make each new cell O(1).  For m = n - b
@@ -153,13 +153,9 @@ def _convex(b: int, columns: range) -> list[int]:
     g_table.ensure(b, top)
     r_table.ensure(b, top)
     g_row, r_row, h_row = g_table._rows[b], r_table._rows[b], _table("h", 2)._rows[b]
-    if len(columns) == 1:  # one column reads each 2r + h once, from column b up
-        weights = g_row[top - b : 0 : -1] + [1]  # g(b, top - j), then [m = 0]
-        terms = zip(weights, r_row[b : top + 1], h_row[b : top + 1])  # none if top < b
-        return [sum(v * (2 * r_j + h_j) for v, r_j, h_j in terms if v)]
     # 2r + h is 0 below column b; g(b, 0) is 0, so [m = 0] is the m = 0 term
     tail = [0] * b + [2 * r_row[j] + h_row[j] for j in range(b, top + 1)]
-    terms = [(0, 1)] + [(m, v) for m, v in enumerate(g_row[1 : top - b + 1], 1) if v]
+    terms = [(0, 1)] + [(m, g_row[m]) for m in range(1, top - b + 1) if g_row[m]]
     out = []
     for n in columns:
         total = 0

@@ -142,25 +142,24 @@ def build_G(b: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(_supporting_chain(b, one, [0] * (order + 1))))
 
 
-def _subset_sum(root: list[int], low: int, high: int, lam: int, weight) -> list[int]:
-    """Sum over subsets S of {low..high-1} of root * prod_{k in S} w x^k/(1-lam*x^k),
-    w = weight(above, k) with above the next member of S, or high, above k.  Depth
-    first from high down: a child adds one k below its parent's smallest member and
-    extends the parent's product by one filter, its weight folded into the input."""
-    total = [0] * len(root)
-    stack = [(root, high)]
-    while stack:
-        term, above = stack.pop()
-        total = [t + v for t, v in zip(total, term)]
-        for k in range(low, above):
-            w = weight(above, k)
-            stack.append((_filter(k, lam, [w * v for v in term]), k))
+def _subset_sum(term: list[int], low: int, above: int, lam: int, weight, total):
+    """total + the sum over subsets S of {low..above-1} of term * prod_{k in S}
+    w x^k/(1-lam*x^k), w = weight(next member of S or above, k).  Depth first:
+    each subset adds its own term, and a child adds one k below its parent's
+    smallest member, one filter on the parent's product with w folded in.  A
+    child is built only when visited, so one product per depth is alive."""
+    total = [t + v for t, v in zip(total, term)]
+    for k in range(low, above):
+        w = weight(above, k)
+        child = _filter(k, lam, [w * v for v in term])
+        total = _subset_sum(child, low, k, lam, weight, total)
     return total
 
 
 def _closed_H(b: int, order: int) -> list[int]:
     """Closed-form H_b: x^b/(1-x^b) * sum over S of prod (2(above-k)+1) x^k/(1-x^k)."""
-    total = _subset_sum([1] + [0] * order, 1, b, 1, lambda up, k: 2 * (up - k) + 1)
+    one, zero = [1] + [0] * order, [0] * (order + 1)
+    total = _subset_sum(one, 1, b, 1, lambda up, k: 2 * (up - k) + 1, zero)
     return _filter(b, 1, total)
 
 
@@ -211,8 +210,7 @@ def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
         return TruncatedSeries(tuple(_stack_and_skew(b, order)[1]))
     total = [0] * (order + 1)
     for j in range(1, b + 1):
-        part = _subset_sum(_closed_H(j, order), j, b, 2, lambda up, k: 2)
-        total = [t + v for t, v in zip(total, part)]
+        total = _subset_sum(_closed_H(j, order), j, b, 2, lambda up, k: 2, total)
     return TruncatedSeries(tuple(_filter(b, 2, total)))
 
 

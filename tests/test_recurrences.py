@@ -268,7 +268,7 @@ class TestAgainstDocstringRecurrences:
     def test_convex_table_extracts_match_reference(self, monkeypatch):
         monkeypatch.setattr(recurrences, "_tables", {})
         ref = reference_convex()
-        for max_n, max_b in [(5, 30), (60, 40), (200, 3), (1, 1)]:
+        for max_n, max_b in [(5, 30), (60, 40), (200, 3), (1, 1), (1, 5)]:
             assert table("c", max_n, max_b) == [
                 [ref[b, n] for b in range(1, max_b + 1)] for n in range(1, max_n + 1)
             ], (max_n, max_b)
