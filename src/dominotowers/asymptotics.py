@@ -55,39 +55,33 @@ def theta_exact(b: int) -> Fraction:
     return Fraction(numerator, prefix * prefix)
 
 
+def _prefix_products(b: int) -> list[int]:
+    """Q_0, ..., Q_b with Q_i = prod_{k=1..i} (2^k - 1)."""
+    q = [1]
+    for k in range(1, b + 1):
+        q.append(q[-1] * (2 ** k - 1))
+    return q
+
+
 def denominator_derivative_at_half(b: int) -> Fraction:
     """Derivative of the denominator polynomial at 1/2; negative for all b."""
     _check_b(b)
-    value = Fraction(-2) * Fraction(2 ** b - 1, 2 ** b)
-    for k in range(1, b):
-        value *= Fraction(2 ** k - 1, 2 ** k) ** 3
-    return value
+    q = _prefix_products(b - 1)[-1]
+    return Fraction(-2 * (2 ** b - 1) * q ** 3, 2 ** (b + 3 * b * (b - 1) // 2))
 
 
 def numerator_hat_at_half(b: int) -> Fraction:
     """Numerator of the skew-plus-stack factor 2R + H, evaluated at 1/2."""
     if b < 1:
         raise ValueError("b must be at least 1")
-    value = Fraction(1, 2 ** b)
-    for k in range(2, b + 1):
-        value *= Fraction(2 ** k - 1, 2 ** k)
-    return value
+    return Fraction(_prefix_products(b)[-1], 2 ** (b * (b + 3) // 2 - 1))
 
 
 def numerator_bar_at_half(b: int) -> Fraction:
     """Numerator of the supporting factor G + 1, evaluated at 1/2."""
     if b < 1:
         raise ValueError("b must be at least 1")
-    num = 0
-    for i in range(0, b):
-        prod = 1
-        for k in range(1, i + 1):
-            prod *= 2 ** k - 1
-        num += prod
-    den = 1
-    for k in range(1, b):
-        den *= 2 ** k
-    return Fraction(num, den)
+    return Fraction(sum(_prefix_products(b - 1)), 2 ** (b * (b - 1) // 2))
 
 
 def theta_from_parts(b: int) -> Fraction:

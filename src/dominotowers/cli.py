@@ -29,7 +29,7 @@ from .recurrences import FAMILIES
 from .render import FORMATS, count_table_rows, format_fixed, render_table
 
 CACHE_ENV_VAR = "DOMINOTOWERS_CACHE_DIR"
-ORDER_CAP = 4096  # table bounds, series order and b-file terms compared
+ORDER_CAP = 4096  # table bounds, series order and base, b-file terms compared
 THETA_MAX_B = 128  # bounds the table: 128 bases at 1000 decimals print 383 kB
 THETA_MAX_DECIMALS = 1000
 
@@ -242,6 +242,8 @@ def cmd_enumerate(args) -> int:
 def cmd_series(args) -> int:
     if not 0 <= args.order <= ORDER_CAP:
         raise ValueError(f"--order must be in 0..{ORDER_CAP}")
+    if args.b > ORDER_CAP:
+        raise ValueError(f"--b must be at most {ORDER_CAP}")
     if args.method == series.CLOSED_FORM and args.family not in ("h", "r"):
         raise ValueError(f"--method {series.CLOSED_FORM} applies to h and r only")
     builders = {

@@ -13,17 +13,18 @@ Shapes are fixed polyominoes: translations are identified by storing every
 shape in canonical position (minimum cell x and minimum level both 0), while
 rotations and reflections stay distinct.
 
-Classification vocabulary:
+Classification vocabulary, read from the (left, right) edge moves of each
+level against the level below, in cells, positive to the right:
 
-* stack        - convex, and every occupied column reaches the base row.
-* right-skewed - convex, and built bottom-up by repeatedly placing the next
-                 row's right edge 0 or 1 cells further right, finishing with
-                 a right-overhanging stack on top.  Equivalently, the mirror
-                 image of a left-skewed tower.  Rectangles are excluded: at
-                 least one column must lie right of the base.
-* left-skewed  - mirror image of right-skewed.
+* stack        - convex, and every row lies within the base row's span.
+* right-skewed - convex; the right edge moves 0 or 1 per level and no row is
+                 wider than the one below, until a move of 1 after which
+                 every row is nested in the one below (left >= 0, right <= 0):
+                 a right-overhanging stack on top.  Rectangles are excluded:
+                 at least one column must lie right of the base.
+* left-skewed  - mirror image of right-skewed: the same test on (-right, -left).
 * supporting   - the part of a convex tower strictly below its lowest widest
-                 row.  Row lengths grow by 0 or 1 dominoes per level; rows of
+                 row.  The edges move by (0, 0) or (-1, +1) per level: rows of
                  equal length are exactly aligned, a one-longer row overhangs
                  one cell on each side (both placements are forced by the
                  support rule plus convexity of the surrounding tower).
@@ -175,14 +176,6 @@ def validate(shape: TowerShape) -> bool:
     return True
 
 
-Spans = list[tuple[int, int]]
-
-
-def _profile(levels: Levels) -> tuple[Spans, list[int]]:
-    """Row spans (as ``row_span``) and domino counts, bottom to top."""
-    return [(row[0], row[-1] + 1) for row in levels], [len(row) for row in levels]
-
-
 def _solid_rows(levels: Levels) -> bool:
     return all(row and row[-1] - row[0] == 2 * (len(row) - 1) for row in levels)
 
@@ -204,44 +197,30 @@ def _convex(levels: Levels) -> bool:
     return True
 
 
-def _on_base(spans: Spans) -> bool:
-    lo, hi = spans[0]
-    return all(a >= lo and b <= hi for a, b in spans)
+def _steps(levels: Levels) -> list[tuple[int, int]]:
+    """(left, right) edge moves from each non-empty level to the next."""
+    return [(up[0] - row[0], up[-1] - row[-1]) for row, up in zip(levels, levels[1:])]
 
 
-def _reflected(spans: Spans) -> Spans:
-    """Spans of the mirror image, up to translation."""
-    return [(-hi, -lo) for lo, hi in spans]
-
-
-def _nested_above(spans: Spans, start: int) -> bool:
-    return all(
-        spans[y + 1][0] >= spans[y][0] and spans[y + 1][1] <= spans[y][1]
-        for y in range(start, len(spans) - 1)
-    )
-
-
-def _right_skew_from(spans: Spans, lengths: list[int], y: int) -> bool:
-    # Mirrors the recursive construction: above row y sits either a stack
+def _right_skewed(steps: list[tuple[int, int]]) -> bool:
+    # Mirrors the recursive construction: above each row sits either a stack
     # whose base overhangs right by one cell, or another skewed tower whose
     # base's right edge advances by 0 or 1.  The sub-base is never wider.
-    if len(spans) - y < 2:
-        return False
-    if lengths[y + 1] > lengths[y]:
-        return False
-    step = spans[y + 1][1] - spans[y][1]
-    if step == 1 and _nested_above(spans, y + 1):
-        return True
-    return step in (0, 1) and _right_skew_from(spans, lengths, y + 1)
-
-
-def _supporting_steps(spans: Spans, lengths: list[int]) -> bool:
-    for y in range(len(spans) - 1):
-        step = lengths[y + 1] - lengths[y]
-        lo, hi = spans[y]
-        if step not in (0, 1) or spans[y + 1] != (lo - step, hi + step):
+    # A later move of 1 restarts the top stack: in a convex tower the right
+    # edge never moves right after moving left, so the nested steps skipped
+    # before it kept the right edge and were skew steps too.
+    top = False
+    for left, right in steps:
+        if top and left >= 0 and right <= 0:
+            continue
+        if left < right or right not in (0, 1):
             return False
-    return True
+        top = right == 1
+    return top
+
+
+def _supporting(steps: list[tuple[int, int]]) -> bool:
+    return all(right in (0, 1) and left == -right for left, right in steps)
 
 
 def is_convex(shape: TowerShape) -> bool:
@@ -257,7 +236,7 @@ def is_supporting(shape: TowerShape) -> bool:
     cell on each side.  Any other placement of an equal-length row breaks
     convexity once the wider row above is added.
     """
-    return _solid_rows(shape.levels) and _supporting_steps(*_profile(shape.levels))
+    return _solid_rows(shape.levels) and _supporting(_steps(shape.levels))
 
 
 def classify(shape: TowerShape) -> TowerClass:
@@ -267,16 +246,18 @@ def classify(shape: TowerShape) -> TowerClass:
     stacks (all rows equal) or would be caught earlier keep the earlier
     label; ``is_supporting`` stays available as a standalone predicate.
     """
-    if not _convex(shape.levels):
+    levels = shape.levels
+    if not _convex(levels):
         return TowerClass.NON_CONVEX
-    spans, lengths = _profile(shape.levels)
-    if _on_base(spans):
+    lo, hi = levels[0][0], levels[0][-1]
+    if all(row[0] >= lo and row[-1] <= hi for row in levels):
         return TowerClass.STACK
-    if _right_skew_from(spans, lengths, 0):
+    steps = _steps(levels)
+    if _right_skewed(steps):
         return TowerClass.RIGHT_SKEWED
-    if _right_skew_from(_reflected(spans), lengths, 0):
+    if _right_skewed([(-right, -left) for left, right in steps]):
         return TowerClass.LEFT_SKEWED
-    if _supporting_steps(spans, lengths):
+    if _supporting(steps):
         return TowerClass.SUPPORTING
     return TowerClass.CONVEX_OTHER
 

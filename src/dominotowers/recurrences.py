@@ -48,14 +48,14 @@ class CountTable:
     callers sharing a table must serialize its growth.
     """
 
-    def __init__(self, family: str, k: int = 2, h_table: "CountTable | None" = None):
+    def __init__(self, family: str, k: int = 2):
         if family not in ("g", "h", "r"):
             raise ValueError(f"unknown family {family!r}")
         if k < 2:
             raise UnsupportedK(f"block length k={k} is not supported")
         self.family = family
         self.k = k
-        self._h = h_table
+        self._h = _table("h", k) if family == "r" else None  # r reads h rows
         self._rows: list[list[int]] = [[]]
         self._sums = [(self._rows[0],) * {"g": 0, "h": 2, "r": 1}[family]]
 
@@ -128,8 +128,7 @@ _tables: dict[tuple[str, int], CountTable] = {}
 def _table(family: str, k: int) -> CountTable:
     key = (family, k)
     if key not in _tables:
-        h_table = _table("h", k) if family == "r" else None
-        _tables[key] = CountTable(family, k, h_table)
+        _tables[key] = CountTable(family, k)
     return _tables[key]
 
 

@@ -405,6 +405,13 @@ class TestSeries:
     def test_order_cap(self, capsys):
         assert run(capsys, "series", "g", "--b", "2", "--order", "5000")[0] == 2
 
+    def test_base_cap(self, capsys):
+        code, out, err = run(capsys, "series", "h", "--b", "4097", "--order", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: --b must be at most 4096\n"
+        code, out, _ = run(capsys, "series", "h", "--b", "4096", "--order", "4")
+        assert code == 0 and out == "0 0\n1 0\n2 0\n3 0\n4 0\n"
+
     @pytest.mark.parametrize("family", ["g", "c"])
     def test_closed_form_needs_h_or_r(self, capsys, family):
         code, out, err = run(

@@ -54,6 +54,86 @@ SKEW_LEFT_10_4 = shape(
 )
 
 
+# The span classifier that edge moves replaced, kept as the per-shape
+# reference: row spans and lengths, a reflection and a recursive skew test.
+# Count checks cannot see a label swap that keeps the counts, such as right-
+# and left-skewed exchanged on mirror pairs; a shape-by-shape comparison can.
+Spans = list[tuple[int, int]]
+
+
+def _profile(levels):
+    """Row spans (as ``row_span``) and domino counts, bottom to top."""
+    return [(row[0], row[-1] + 1) for row in levels], [len(row) for row in levels]
+
+
+def _solid_rows(levels):
+    return all(row and row[-1] - row[0] == 2 * (len(row) - 1) for row in levels)
+
+
+def _on_base(spans: Spans) -> bool:
+    lo, hi = spans[0]
+    return all(a >= lo and b <= hi for a, b in spans)
+
+
+def _reflected(spans: Spans) -> Spans:
+    """Spans of the mirror image, up to translation."""
+    return [(-hi, -lo) for lo, hi in spans]
+
+
+def _nested_above(spans: Spans, start: int) -> bool:
+    return all(
+        spans[y + 1][0] >= spans[y][0] and spans[y + 1][1] <= spans[y][1]
+        for y in range(start, len(spans) - 1)
+    )
+
+
+def _right_skew_from(spans: Spans, lengths: list[int], y: int) -> bool:
+    # Mirrors the recursive construction: above row y sits either a stack
+    # whose base overhangs right by one cell, or another skewed tower whose
+    # base's right edge advances by 0 or 1.  The sub-base is never wider.
+    if len(spans) - y < 2:
+        return False
+    if lengths[y + 1] > lengths[y]:
+        return False
+    step = spans[y + 1][1] - spans[y][1]
+    if step == 1 and _nested_above(spans, y + 1):
+        return True
+    return step in (0, 1) and _right_skew_from(spans, lengths, y + 1)
+
+
+def _supporting_steps(spans: Spans, lengths: list[int]) -> bool:
+    for y in range(len(spans) - 1):
+        step = lengths[y + 1] - lengths[y]
+        lo, hi = spans[y]
+        if step not in (0, 1) or spans[y + 1] != (lo - step, hi + step):
+            return False
+    return True
+
+
+def reference_is_supporting(shape: TowerShape) -> bool:
+    return _solid_rows(shape.levels) and _supporting_steps(*_profile(shape.levels))
+
+
+def reference_classify(shape: TowerShape) -> TowerClass:
+    if not is_convex(shape):
+        return TowerClass.NON_CONVEX
+    spans, lengths = _profile(shape.levels)
+    if _on_base(spans):
+        return TowerClass.STACK
+    if _right_skew_from(spans, lengths, 0):
+        return TowerClass.RIGHT_SKEWED
+    if _right_skew_from(_reflected(spans), lengths, 0):
+        return TowerClass.LEFT_SKEWED
+    if _supporting_steps(spans, lengths):
+        return TowerClass.SUPPORTING
+    return TowerClass.CONVEX_OTHER
+
+
+def assert_matches_reference(t: TowerShape) -> None:
+    assert classify(t) is reference_classify(t), t.levels
+    assert is_supporting(t) == reference_is_supporting(t), t.levels
+
+
 class TestSupportRule:
     def test_cell_rule_equals_offset_rule_for_all_relative_placements(self):
         # one domino above another at every horizontal offset that could matter:
@@ -220,6 +300,26 @@ class TestClassify:
                     lo <= x <= hi for x, _ in t.cells
                 )
                 assert on_base == (classify(t) is TowerClass.STACK)
+
+
+class TestAgainstSpanReference:
+    def test_every_tower_up_to_nine_blocks(self):
+        checked = 0
+        for n in range(1, 10):
+            for t in enumerate_towers(n):
+                assert_matches_reference(t)
+                checked += 1
+        assert checked == 87381
+
+    def test_every_short_stack_of_solid_rows(self):
+        # classify is total: shapes that are not towers (unsupported rows,
+        # rows jumping a whole domino) get the reference's labels too
+        rows = [()] + [
+            tuple(range(x, x + 2 * k, 2)) for x in range(-3, 4) for k in (1, 2, 3)
+        ]
+        for height in (1, 2, 3):
+            for levels in itertools.product(rows, repeat=height):
+                assert_matches_reference(TowerShape(levels))
 
 
 class TestDissection:

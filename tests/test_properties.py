@@ -19,6 +19,7 @@ from dominotowers.model import (
     recombine,
     validate,
 )
+from test_model import assert_matches_reference
 
 MAX_N = 30
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -98,6 +99,12 @@ def test_mirror_is_an_involution(t):
 def test_dissect_then_recombine_is_identity(t):
     assert is_convex(t)
     assert recombine(dissect(t)) == t
+
+
+@SETTINGS
+@given(convex_towers())
+def test_labels_match_the_span_reference(t):
+    assert_matches_reference(t)
 
 
 SWAPPED = {

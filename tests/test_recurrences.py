@@ -211,14 +211,12 @@ class TestTableMechanics:
 
 class TestAgainstDocstringRecurrences:
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_interleaved_growth_matches_reference(self, k):
+    def test_interleaved_growth_matches_reference(self, monkeypatch, k):
+        monkeypatch.setattr(recurrences, "_tables", {})
         ref = reference_tables(k)
-        h_table = CountTable("h", k)
-        tables = {
-            "g": CountTable("g", k),
-            "h": h_table,
-            "r": CountTable("r", k, h_table=h_table),
-        }
+        # the r table reads the shared h table, which the test grows too
+        tables = {"g": CountTable("g", k), "r": CountTable("r", k)}
+        tables["h"] = recurrences._table("h", k)
         rng = random.Random(k)
         # the reachable corner widens slowly, so growth comes in many small,
         # out-of-order steps across rows and between the h and r tables
@@ -298,10 +296,13 @@ class TestAgainstDocstringRecurrences:
         def refuse(*args):
             raise AssertionError(f"{family}({b}, {n}) grew the table")
 
-        h_table = CountTable("h")
-        t = h_table if family == "h" else CountTable(family, h_table=h_table)
+        t = CountTable(family)
         monkeypatch.setattr(t, "ensure", refuse)
         assert t.value(b, n) == 0
+
+    def test_standalone_skew_table_reads_the_shared_stacks(self):
+        assert CountTable("r").value(3, 10) == r(3, 10)
+        assert CountTable("r", 3).value(2, 6) == family_value("r", 2, 6, 3)
 
 
 class TestGrowthCost:
