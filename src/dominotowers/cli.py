@@ -23,6 +23,7 @@ from .enumerator import (
     DEFAULT_HARD_CAP,
     census,  # unused here; bench/tracer.py patches cli.census
     enumerate_towers,
+    tower_lines,
 )
 from .model import TowerClass, dissect, recombine
 from .recurrences import FAMILIES
@@ -234,8 +235,8 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     write = sys.stdout.write
-    for shape in enumerate_towers(args.n, args.b):
-        write(f"{shape}\n")  # f-string, not print: TowerShape.__str__ still runs
+    for line in tower_lines(args.n, args.b):
+        write(f"{line}\n")
     return 0
 
 

@@ -17,9 +17,12 @@ new level that reaches left of x = 0 shifts the stack through
 ``TowerShape.from_levels``, which keeps the order of what grows above, so a
 leaf is wrapped as ``TowerShape(levels)`` with no rescan.
 
-The oracle has two entry points: ``enumerate_towers(n, b=None)`` streams
-the shapes, and ``census(n)`` counts them in one pass.  Being a generator,
-``enumerate_towers`` checks its arguments when the first shape is asked for.
+The oracle has three entry points: ``enumerate_towers(n, b=None)`` streams
+the shapes, ``tower_lines(n, b=None)`` streams their ``str`` text from the
+same walk, and ``census(n)`` counts them in one pass.  ``tower_lines``
+carries each partial tower's cells as sorted integer keys x*n + y, merging
+in each new level's keys, so a leaf only joins texts from a table.  Both
+streams check their arguments in ``_bases`` when the first item is asked for.
 """
 
 from __future__ import annotations
@@ -75,11 +78,8 @@ def _grow(levels: Levels, remaining: int) -> Iterator[Levels]:
             yield from _grow(grown, remaining - len(chosen))
 
 
-def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
-    """Every valid tower of n dominoes, each exactly once.
-
-    ``b`` fixes the base size; None streams every base from 1 to n.
-    """
+def _bases(n: int, b: int | None) -> range:
+    """The base sizes to walk, after the checks both streams share."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if b is not None and b < 1:
@@ -88,10 +88,47 @@ def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
         raise ValueError("b must not exceed n")
     if n > DEFAULT_HARD_CAP:
         raise CapExceeded(f"n={n} exceeds the enumeration cap {DEFAULT_HARD_CAP}")
-    for base_b in range(1, n + 1) if b is None else (b,):
-        base = tuple(2 * i for i in range(base_b))
-        for levels in _grow((base,), n - base_b):
+    return range(1, n + 1) if b is None else range(b, b + 1)
+
+
+def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
+    """Every valid tower of n dominoes, each exactly once.
+
+    ``b`` fixes the base size; None streams every base from 1 to n.
+    """
+    for base_b in _bases(n, b):
+        for levels in _grow((tuple(range(0, 2 * base_b, 2)),), n - base_b):
             yield TowerShape(levels)
+
+
+def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
+    """``str(shape)`` for each shape of ``enumerate_towers(n, b)``, in order."""
+    bases = _bases(n, b)  # checked before the table is built
+    # Each domino above the base widens the span by at most one cell (a
+    # level stays within one cell of the level below on either side, and
+    # one domino reaches only one side), so the 2b + (n - b) <= 2n columns
+    # give x < 2n; as y < n, the key x*n + y sorts cells by (x, y) and
+    # indexes this table.
+    texts = [f"{k // n},{k % n}" for k in range(2 * n * n)]
+
+    def walk(row: tuple[int, ...], y: int, keys: list[int], remaining: int):
+        for chosen in _level_sets(row, remaining):
+            below = keys
+            if chosen[0] < 0:  # reaches x = -1: shift as from_levels does
+                chosen = tuple(x + 1 for x in chosen)
+                below = [k + n for k in keys]
+            new = [k for x in chosen for k in (x * n + y, x * n + n + y)]
+            grown = sorted(below + new)
+            if remaining == len(chosen):
+                yield " ".join(map(texts.__getitem__, grown))
+            else:
+                yield from walk(chosen, y + 1, grown, remaining - len(chosen))
+
+    for base_b in bases:
+        keys = [x * n for x in range(2 * base_b)]
+        if base_b == n:  # a bare base; walk yields nothing with no block left
+            yield " ".join(map(texts.__getitem__, keys))
+        yield from walk(tuple(range(0, 2 * base_b, 2)), 1, keys, n - base_b)
 
 
 def census(n: int) -> Counter[tuple[int, int, TowerClass]]:

@@ -126,25 +126,8 @@ class TowerShape:
         )
 
     def __str__(self) -> str:
-        # Dominoes on a level are two or more cells apart (validate's rule;
-        # overlapping ones would list a shared cell twice), so the cells need
-        # no set.  As 0 <= y < h, sorting the integers x*h + y sorts the cells
-        # by (x, y); each key's "x,y" text comes from a list kept per height
-        # h, extended as wider shapes need it.
-        h = len(self.levels)
-        keys = [x * h + y for y, row in enumerate(self.levels) for x in row]
-        keys += [k + h for k in keys]
-        keys.sort()
-        if not (keys and 0 <= keys[0] <= keys[-1] < _CELL_TEXT_CAP):
-            return " ".join(f"{k // h},{k % h}" for k in keys)
-        texts = _CELL_TEXTS.setdefault(h, [])
-        if keys[-1] >= len(texts):
-            texts.extend(f"{k // h},{k % h}" for k in range(len(texts), keys[-1] + 1))
-        return " ".join(map(texts.__getitem__, keys))
-
-
-_CELL_TEXTS: dict[int, list[str]] = {}  # height h -> "x,y" at index x*h + y
-_CELL_TEXT_CAP = 1024  # keys past it (or below 0) are formatted one by one
+        """The sorted cells as "x,y", space-separated: ``tower_lines``' reference."""
+        return " ".join(f"{x},{y}" for x, y in sorted(self.cells))
 
 
 def cell_supported(cells: Iterable[tuple[int, int]], domino: tuple[int, int]) -> bool:
@@ -176,19 +159,17 @@ def validate(shape: TowerShape) -> bool:
     return True
 
 
-def _solid_rows(levels: Levels) -> bool:
-    return all(row and row[-1] - row[0] == 2 * (len(row) - 1) for row in levels)
-
-
 def _convex(levels: Levels) -> bool:
-    if not _solid_rows(levels):  # also rules out an empty level
+    if not (levels and all(levels)):
         return False
-    # One bitmask per solid row, bit i for column shift + i.  A column that a
-    # row occupies, the level below leaves empty and an earlier level
-    # occupied is a gap.
-    shift = min(levels, default=(0,))[0]
+    # One bitmask per row, bit i for column shift + i.  A row with a gap, or
+    # a column that a row occupies, the level below leaves empty and an
+    # earlier level occupied, breaks convexity.
+    shift = min(levels)[0]
     seen = below = 0
     for row in levels:
+        if row[-1] - row[0] != 2 * len(row) - 2:
+            return False
         mask = ((1 << 2 * len(row)) - 1) << (row[0] - shift)
         if mask & seen & ~below:
             return False
@@ -236,7 +217,7 @@ def is_supporting(shape: TowerShape) -> bool:
     cell on each side.  Any other placement of an equal-length row breaks
     convexity once the wider row above is added.
     """
-    return _solid_rows(shape.levels) and _supporting(_steps(shape.levels))
+    return _convex(shape.levels) and _supporting(_steps(shape.levels))
 
 
 def classify(shape: TowerShape) -> TowerClass:

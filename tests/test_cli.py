@@ -708,20 +708,20 @@ class TestBenchHooks:
             "tracer = Tracer()\n"
             "install(tracer)\n"
             "assert cli.main(['enumerate', '--n', '4', '--b', '2']) == 0\n"
-            "print(tracer.stats('model.TowerShape.__str__')[0],"
-            " tracer.counters['enumerator.shapes'])\n"
             "print(tracer.stats('cli.cmd_enumerate')[0])\n"
+            "assert cli.main(['verify', '--max-n', '3']) == 0\n"
+            "print(tracer.counters['enumerator.shapes'])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=child_env("src", "bench"), capture_output=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr.decode()
-        # C(7, 2) = 21 towers of 4 dominoes on a base of 2
-        *_, shapes, handler_calls = proc.stdout.decode().splitlines()
-        assert shapes == "21 21.0"
+        lines = proc.stdout.decode().splitlines()
         # a handler bound into the cached parser would hide this span
-        assert handler_calls == "1"
+        assert lines[21] == "1"  # after the 21 towers of 4 dominoes on a base of 2
+        # enumerate streams text, not shapes; verify walks 1 + 4 + 16 shapes
+        assert lines[-1] == "21.0"
 
     def test_traced_verify_runs(self):
         # the traced benchmark's verify jobs: every name install wraps must

@@ -11,6 +11,7 @@ from dominotowers.enumerator import (
     enumerate_towers,
     gapfree_partition_census,
     partitions,
+    tower_lines,
 )
 from dominotowers.model import TowerClass, classify, is_supporting
 
@@ -98,6 +99,37 @@ class TestEnumerate:
         stacks = [t for t in towers(4) if classify(t) is TowerClass.STACK]
         assert len(convex) == 41
         assert len(stacks) == 11
+
+
+class TestTowerLines:
+    """The text stream against ``str`` of every enumerated shape."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_equals_str_of_every_shape(self, n):
+        for b in (None, *range(1, n + 1)):
+            want = [str(t) for t in enumerate_towers(n, b)]
+            assert list(tower_lines(n, b)) == want, (n, b)
+
+    @pytest.mark.parametrize("b, count", [(12, 1), (11, 23), (10, 253)])
+    def test_equals_str_at_the_cap(self, b, count):
+        # the bare base of 12 spans all 24 columns the text table covers,
+        # and b = 11 puts its one extra domino past either edge
+        lines = list(tower_lines(12, b))
+        assert len(lines) == count
+        assert lines == [str(t) for t in enumerate_towers(12, b)]
+
+    @pytest.mark.parametrize(
+        "n, b", [(0, None), (3, 0), (3, 4), (13, None), (13, 14)]
+    )
+    def test_rejects_what_enumerate_towers_rejects(self, n, b):
+        raised = []
+        for stream in (enumerate_towers, tower_lines):
+            items = stream(n, b)  # a generator checks on the first next
+            with pytest.raises(ValueError) as info:
+                next(items)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert (raised[0][0] is CapExceeded) == (n == 13 and b is None)
 
 
 class TestCensus:

@@ -219,12 +219,14 @@ class TestConvexity:
 
 
 class TestEmptyLevel:
-    # a missing level leaves a column gap (or no level to rest on): no
-    # predicate holds and classify says non-convex, as validate says invalid
+    # a missing level leaves a column gap (or no level to rest on), and a
+    # shape with no level has no cell: no predicate holds and classify says
+    # non-convex, as validate says invalid
     SHAPES = [
         TowerShape.from_dominoes([(0, 0), (0, 2)]),
         TowerShape(((0, 2), ())),
         TowerShape(((), (0,))),
+        TowerShape(()),
     ]
 
     def test_levels_keep_the_empty_level(self):
