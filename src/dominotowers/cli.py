@@ -21,11 +21,12 @@ from pathlib import Path
 from . import asymptotics, model, oeis, recurrences, series
 from .enumerator import (
     DEFAULT_HARD_CAP,
-    census,  # unused here; bench/tracer.py patches cli.census
+    census,  # unused here, as is enumerate_towers; bench/tracer.py patches both
     enumerate_towers,
     tower_lines,
+    walk,
 )
-from .model import TowerClass, dissect, recombine
+from .model import TowerClass, TowerShape, dissect, recombine
 from .recurrences import FAMILIES
 from .render import FORMATS, count_table_rows, format_fixed, render_table
 
@@ -146,9 +147,9 @@ def cmd_theta(args) -> int:
 def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
     """All cross-checks up to max_n; (name, passed, detail) per check.
 
-    Each (n, b) is enumerated once: every shape is classified and, when
-    convex, dissected and recombined; its levels join that base's set of
-    distinct shapes.
+    Each (n, b) is walked once: every tower's levels join that base's set
+    of distinct shapes, and each tower the walk flags convex is classified,
+    dissected and recombined.
     """
     from math import comb
 
@@ -164,13 +165,18 @@ def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
         for b in range(1, n + 1):
             seen = set()
             labels = by_base[b] = Counter()
-            for shape in enumerate_towers(n, b):
-                seen.add(shape.levels)  # not the shape: a third less memory
+            for levels, convex in walk(n, b):
+                seen.add(levels)  # not the shape: a third less memory
+                if not convex:
+                    continue
+                shape = TowerShape(levels)
                 label = model.classify(shape)
                 labels[label] += 1
+                convex_by_width[shape.max_row_b] += 1
+                # a tower the walk flags in error still counts towards c, so
+                # the census check fails; dissect would refuse it
                 if label is TowerClass.NON_CONVEX:
                     continue
-                convex_by_width[shape.max_row_b] += 1
                 if recombine(dissect(shape)) != shape:
                     dissect_mismatches.append(f"round trip failed for {shape}")
             expected = comb(2 * n - 1, n - b)

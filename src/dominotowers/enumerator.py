@@ -17,12 +17,18 @@ new level that reaches left of x = 0 shifts the stack through
 ``TowerShape.from_levels``, which keeps the order of what grows above, so a
 leaf is wrapped as ``TowerShape(levels)`` with no rescan.
 
-The oracle has three entry points: ``enumerate_towers(n, b=None)`` streams
-the shapes, ``tower_lines(n, b=None)`` streams their ``str`` text from the
-same walk, and ``census(n)`` counts them in one pass.  ``tower_lines``
-carries each partial tower's cells as sorted integer keys x*n + y, merging
-in each new level's keys, so a leaf only joins texts from a table.  Both
-streams check their arguments in ``_bases`` when the first item is asked for.
+The walk also carries the column masks of ``model._convex_row`` down,
+shifted with the levels.  A row or column gap never closes when a level is
+added on top, so once a prefix is non-convex the walk stops stepping them.
+
+The oracle has four entry points: ``walk(n, b=None)`` streams each tower's
+levels with its convexity flag, ``enumerate_towers(n, b=None)`` the shapes,
+``tower_lines(n, b=None)`` their ``str`` text from the same level sets, and
+``census(n)`` counts them in one pass, classifying only convex towers.
+``tower_lines`` carries each partial tower's cells as sorted integer keys
+x*n + y, merging in each new level's keys, so a leaf only joins texts from
+a table.  The streams check their arguments in ``_bases`` when the first
+item is asked for.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from collections import Counter
 from functools import cache
 from typing import Iterator
 
-from .model import Levels, TowerClass, TowerShape, classify
+from .model import Levels, TowerClass, TowerShape, _convex_row, classify
 
 DEFAULT_HARD_CAP = 12
 
@@ -64,18 +70,21 @@ def _level_sets(below: tuple[int, ...], max_size: int) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-def _grow(levels: Levels, remaining: int) -> Iterator[Levels]:
-    if remaining == 0:
-        yield levels
-        return
+def _grow(levels: Levels, masks, remaining: int) -> Iterator[tuple[Levels, bool]]:
+    # masks: the levels' (seen, below) column masks, None once non-convex
     for chosen in _level_sets(levels[-1], remaining):
         grown = levels + (chosen,)
+        state = masks
         if chosen[0] < 0:  # the new level reaches left of x = 0
             grown = TowerShape.from_levels(grown).levels
+            if state:
+                state = (state[0] << 1, state[1] << 1)
+        if state:
+            state = _convex_row(*state, grown[-1])
         if remaining == len(chosen):  # a finished leaf: no frame to open
-            yield grown
+            yield grown, state is not None
         else:
-            yield from _grow(grown, remaining - len(chosen))
+            yield from _grow(grown, state, remaining - len(chosen))
 
 
 def _bases(n: int, b: int | None) -> range:
@@ -91,14 +100,23 @@ def _bases(n: int, b: int | None) -> range:
     return range(1, n + 1) if b is None else range(b, b + 1)
 
 
-def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
-    """Every valid tower of n dominoes, each exactly once.
+def walk(n: int, b: int | None = None) -> Iterator[tuple[Levels, bool]]:
+    """``(levels, convex)`` for every valid tower of n dominoes, each once.
 
-    ``b`` fixes the base size; None streams every base from 1 to n.
+    ``b`` fixes the base size; None walks every base from 1 to n.
     """
     for base_b in _bases(n, b):
-        for levels in _grow((tuple(range(0, 2 * base_b, 2)),), n - base_b):
-            yield TowerShape(levels)
+        base = tuple(range(0, 2 * base_b, 2))
+        if base_b == n:  # a bare base; _grow yields nothing with no block left
+            yield (base,), True
+        else:
+            yield from _grow((base,), _convex_row(0, 0, base), n - base_b)
+
+
+def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
+    """Every valid tower of n dominoes, each exactly once, as shapes."""
+    for levels, _ in walk(n, b):
+        yield TowerShape(levels)
 
 
 def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
@@ -134,8 +152,12 @@ def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
 def census(n: int) -> Counter[tuple[int, int, TowerClass]]:
     """Every tower of n dominoes counted by (base size, widest row, class)."""
     return Counter(
-        (shape.base_b, shape.max_row_b, classify(shape))
-        for shape in enumerate_towers(n)
+        (
+            len(levels[0]),
+            max(map(len, levels)),
+            classify(TowerShape(levels)) if convex else TowerClass.NON_CONVEX,
+        )
+        for levels, convex in walk(n)
     )
 
 

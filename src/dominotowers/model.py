@@ -142,39 +142,48 @@ def validate(shape: TowerShape) -> bool:
     levels = shape.levels
     if not levels or not all(levels):
         return False
-    # the constructors shift to canonical position; TowerShape(levels) does not
-    if min(row[0] for row in levels) != 0:
-        return False
-    for row in levels:
-        for a, b in zip(row, row[1:]):
-            if b - a < 2:  # overlapping cells on one level
-                return False
     base = levels[0]
-    if any(b - a != 2 for a, b in zip(base, base[1:])):
+    # the constructors shift to canonical position; TowerShape(levels) does not.
+    # With the rows checked below, a span of 2b cells is a contiguous base.
+    if min(row[0] for row in levels) != 0 or base[-1] - base[0] != 2 * len(base) - 2:
         return False
-    for below, row in zip(levels, levels[1:]):
-        below_set = set(below)
-        if not all({x - 1, x, x + 1} & below_set for x in row):  # offsets -1..1
-            return False
+    below = -1  # every cell of the ground is occupied
+    for row in levels:
+        cells = 0  # bit x for cell x of this row
+        for x in row:
+            # an occupied cell at or right of x is an overlap or an unsorted
+            # row; the support rule asks for cell x or x + 1 below
+            if x < 0 or cells >> x or not (below >> x) & 3:
+                return False
+            cells |= 3 << x
+        below = cells
     return True
+
+
+def _convex_row(seen: int, below: int, row: tuple[int, ...], shift: int = 0):
+    """One level of the convexity test: ``(seen, mask)``, or None if broken.
+
+    Bit i is column shift + i; ``seen`` holds every column occupied so far.
+    A gap in ``row``, or a column of ``row`` that ``below`` leaves empty and
+    ``seen`` holds, breaks convexity, and no level added above mends either.
+    """
+    if row[-1] - row[0] != 2 * len(row) - 2:
+        return None
+    mask = ((1 << 2 * len(row)) - 1) << (row[0] - shift)
+    if mask & seen & ~below:
+        return None
+    return seen | mask, mask
 
 
 def _convex(levels: Levels) -> bool:
     if not (levels and all(levels)):
         return False
-    # One bitmask per row, bit i for column shift + i.  A row with a gap, or
-    # a column that a row occupies, the level below leaves empty and an
-    # earlier level occupied, breaks convexity.
     shift = min(levels)[0]
-    seen = below = 0
+    state = (0, 0)
     for row in levels:
-        if row[-1] - row[0] != 2 * len(row) - 2:
+        state = _convex_row(*state, row, shift)
+        if state is None:
             return False
-        mask = ((1 << 2 * len(row)) - 1) << (row[0] - shift)
-        if mask & seen & ~below:
-            return False
-        seen |= mask
-        below = mask
     return True
 
 

@@ -253,15 +253,15 @@ class TestVerify:
 
     def test_duplicate_shape_fails_count_check(self, capsys, monkeypatch):
         # the raw count is unchanged; only the distinct-shape set sees it
-        real = cli.enumerate_towers
+        real = cli.walk
 
         def duplicating(n, b=None):
-            shapes = list(real(n, b))
+            towers = list(real(n, b))
             if n == 3 and b == 2:
-                shapes[1] = shapes[0]
-            yield from shapes
+                towers[1] = towers[0]
+            yield from towers
 
-        monkeypatch.setattr(cli, "enumerate_towers", duplicating)
+        monkeypatch.setattr(cli, "walk", duplicating)
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == 1
         assert out.splitlines()[0] == (
@@ -278,9 +278,48 @@ class TestVerify:
             "round trip failed for 0,1 1,0 1,1 2,0 2,1 3,1"
         )
 
+    def test_convex_flagged_non_convex_fails_census(self, capsys, monkeypatch):
+        # a walk that drops one convex tower lowers the census counts
+        real = cli.walk
+
+        def dropping(n, b=None):
+            for levels, convex in real(n, b):
+                if levels == ((0, 2), (1,), (1,)):
+                    assert convex
+                    convex = False
+                yield levels, convex
+
+        monkeypatch.setattr(cli, "walk", dropping)
+        code, out, _ = run(capsys, "verify", "--max-n", "4")
+        assert code == 1
+        assert out.splitlines()[1] == (
+            "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
+            "h(2,4): census 3 != recurrence 4; c(2,4): census 17 != recurrence 18"
+        )
+
+    def test_non_convex_flagged_convex_fails_census(self, capsys, monkeypatch):
+        # the other direction: classify still labels the tower, dissect never
+        # sees it, and the convex count rises
+        real = cli.walk
+
+        def adding(n, b=None):
+            for levels, convex in real(n, b):
+                if levels == ((0, 2), (1,), (2,)):
+                    assert not convex
+                    convex = True
+                yield levels, convex
+
+        monkeypatch.setattr(cli, "walk", adding)
+        code, out, _ = run(capsys, "verify", "--max-n", "4")
+        assert code == 1
+        assert out.splitlines()[1] == (
+            "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
+            "c(2,4): census 19 != recurrence 18"
+        )
+
     def test_one_enumeration_per_size_and_base(self, monkeypatch):
         calls = []
-        real = cli.enumerate_towers
+        real = cli.walk
 
         def counting(n, b=None):
             calls.append((n, b))
@@ -289,7 +328,7 @@ class TestVerify:
         def no_census(n, b=None):
             raise AssertionError("verify must not run a separate census")
 
-        monkeypatch.setattr(cli, "enumerate_towers", counting)
+        monkeypatch.setattr(cli, "walk", counting)
         monkeypatch.setattr(cli, "census", no_census)
         max_n = 5
         assert all(passed for _, passed, _ in cli.run_verifications(max_n))
@@ -710,7 +749,7 @@ class TestBenchHooks:
             "assert cli.main(['enumerate', '--n', '4', '--b', '2']) == 0\n"
             "print(tracer.stats('cli.cmd_enumerate')[0])\n"
             "assert cli.main(['verify', '--max-n', '3']) == 0\n"
-            "print(tracer.counters['enumerator.shapes'])\n"
+            "print(tracer.stats('model.classify')[0])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -720,8 +759,8 @@ class TestBenchHooks:
         lines = proc.stdout.decode().splitlines()
         # a handler bound into the cached parser would hide this span
         assert lines[21] == "1"  # after the 21 towers of 4 dominoes on a base of 2
-        # enumerate streams text, not shapes; verify walks 1 + 4 + 16 shapes
-        assert lines[-1] == "21.0"
+        # verify classifies only the convex towers: 1 + 4 + 14 of 1 + 4 + 16
+        assert lines[-1] == "19"
 
     def test_traced_verify_runs(self):
         # the traced benchmark's verify jobs: every name install wraps must

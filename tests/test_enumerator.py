@@ -12,8 +12,15 @@ from dominotowers.enumerator import (
     gapfree_partition_census,
     partitions,
     tower_lines,
+    walk,
 )
-from dominotowers.model import TowerClass, classify, is_supporting
+from dominotowers.model import (
+    TowerClass,
+    TowerShape,
+    classify,
+    is_convex,
+    is_supporting,
+)
 
 CONVEX = frozenset(TowerClass) - {TowerClass.NON_CONVEX}
 BASE, WIDEST = 0, 1  # positions in a census key (base, widest row, class)
@@ -99,6 +106,23 @@ class TestEnumerate:
         stacks = [t for t in towers(4) if classify(t) is TowerClass.STACK]
         assert len(convex) == 41
         assert len(stacks) == 11
+
+
+class TestConvexFlag:
+    """The convexity state carried down the walk against ``is_convex``."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_flag_equals_is_convex(self, n):
+        shifted = {True: 0, False: 0}
+        for b in range(1, n + 1):
+            for levels, convex in walk(n, b):
+                assert convex == is_convex(TowerShape(levels)), levels
+                # a base off x = 0 means some level reached x = -1 and the
+                # walk shifted the levels and the masks
+                if levels[0][0]:
+                    shifted[convex] += 1
+        if n >= 3:
+            assert min(shifted.values()) > 0, shifted
 
 
 class TestTowerLines:

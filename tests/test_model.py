@@ -129,6 +129,27 @@ def reference_classify(shape: TowerShape) -> TowerClass:
     return TowerClass.CONVEX_OTHER
 
 
+def reference_validate(shape: TowerShape) -> bool:
+    """The set-based validity test that per-row bitmasks replaced."""
+    levels = shape.levels
+    if not levels or not all(levels):
+        return False
+    if min(row[0] for row in levels) != 0:
+        return False
+    for row in levels:
+        for a, b in zip(row, row[1:]):
+            if b - a < 2:  # overlapping cells on one level
+                return False
+    base = levels[0]
+    if any(b - a != 2 for a, b in zip(base, base[1:])):
+        return False
+    for below, row in zip(levels, levels[1:]):
+        below_set = set(below)
+        if not all({x - 1, x, x + 1} & below_set for x in row):  # offsets -1..1
+            return False
+    return True
+
+
 def assert_matches_reference(t: TowerShape) -> None:
     assert classify(t) is reference_classify(t), t.levels
     assert is_supporting(t) == reference_is_supporting(t), t.levels
@@ -192,6 +213,50 @@ class TestValidate:
             for t in all_towers(n):
                 assert TowerShape.from_dominoes(t.dominoes) == t
                 assert t.mirror().mirror() == t
+
+
+class TestValidateAgainstSetReference:
+    @staticmethod
+    def random_levels(rng):
+        """A level tuple near a tower: x from -1, empty and unsorted rows,
+        overlaps, unsupported and gapped rows, shifted or canonical."""
+        levels = []
+        for y in range(rng.randint(1, 4)):
+            k = rng.choice((0, 1, 1, 2, 2, 3, 4)) if rng.random() < 0.9 else 0
+            if levels and levels[-1] and rng.random() < 0.7:
+                x = levels[-1][0] + rng.randint(-2, 2)
+            else:
+                x = rng.randint(-1, 3)
+            row = []
+            for _ in range(k):
+                row.append(x)
+                x += rng.choice((0, 1, 2, 2, 2, 2, 3, 4))
+            if rng.random() < 0.05:
+                rng.shuffle(row)
+            levels.append(tuple(row))
+        if all(levels) and rng.random() < 0.6:  # shift as from_levels does
+            return TowerShape.from_levels(tuple(levels)).levels
+        return tuple(levels)
+
+    def test_seeded_random_levels(self):
+        import random
+
+        rng = random.Random(20161)
+        outcomes = {True: 0, False: 0}
+        for _ in range(25000):
+            t = TowerShape(self.random_levels(rng))
+            got = validate(t)
+            assert got == reference_validate(t), t.levels
+            outcomes[got] += 1
+        # both answers are common, so the draw exercises every check
+        assert min(outcomes.values()) > 1000, outcomes
+
+    def test_every_tower_up_to_eight_blocks(self):
+        for n in range(1, 9):
+            for t in enumerate_towers(n):
+                assert validate(t) and reference_validate(t)
+                mirrored = TowerShape(tuple(row[::-1] for row in t.levels))
+                assert validate(mirrored) == reference_validate(mirrored)
 
 
 class TestConvexity:
