@@ -12,15 +12,9 @@ from .model import (
     recombine,
     validate,
 )
-from .enumerator import (
-    CapExceeded,
-    census,
-    enumerate_towers,
-    gapfree_partition_census,
-)
+from .enumerator import CapExceeded, census, enumerate_towers
 from .recurrences import UnsupportedK, c, family_value, g, h, r, table
 from .series import (
-    GeometricFactor,
     SubsetBlowup,
     TruncatedSeries,
     build_C,

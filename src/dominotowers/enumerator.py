@@ -160,25 +160,3 @@ def census(n: int) -> Counter[tuple[int, int, TowerClass]]:
         for levels, convex in walk(n)
     )
 
-
-def partitions(n: int, cap: int | None = None) -> Iterator[list[int]]:
-    """Integer partitions of n in non-increasing part order."""
-    cap = n if cap is None else cap
-    if n == 0:
-        yield []
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in partitions(n - first, first):
-            yield [first] + rest
-
-
-def gapfree_partition_census(n: int) -> dict[int, int]:
-    """Partitions whose distinct parts form a consecutive run, by largest part."""
-    if not 1 <= n <= 40:
-        raise ValueError("n must be between 1 and 40")
-    out: dict[int, int] = {}
-    for parts in partitions(n):
-        distinct = sorted(set(parts))
-        if distinct == list(range(distinct[0], distinct[-1] + 1)):
-            out[parts[0]] = out.get(parts[0], 0) + 1
-    return out

@@ -130,13 +130,6 @@ class TowerShape:
         return " ".join(f"{x},{y}" for x, y in sorted(self.cells))
 
 
-def cell_supported(cells: Iterable[tuple[int, int]], domino: tuple[int, int]) -> bool:
-    """The support rule as stated: a cell under the domino with left cell (x, y)."""
-    x, y = domino
-    cs = set(cells)
-    return (x, y - 1) in cs or (x + 1, y - 1) in cs
-
-
 def validate(shape: TowerShape) -> bool:
     """Total predicate: contiguous base, no overlaps, every block supported."""
     levels = shape.levels

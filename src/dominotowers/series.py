@@ -3,8 +3,7 @@
 Every generating function used here is a sum of products of geometric
 factors x^a / (1 - lam*x^a) with lam in {1, 2}.  Multiplying by one is the
 O(N) filter out[n] = s[n-a] + lam*out[n-a] (`_filter`), the only product:
-`*` takes an integer only, and nothing needs rational coefficients or
-polynomial division.  Addition truncates to the smaller operand order.
+nothing needs rational coefficients or polynomial division.
 
 The builders run on plain coefficient lists, one fused pass per filter input
 and per running-sum update, and wrap the result in a `TruncatedSeries` once.
@@ -40,14 +39,6 @@ class TruncatedSeries:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((0,) * (order + 1))
-
-    @classmethod
-    def constant(cls, value: int, order: int) -> "TruncatedSeries":
-        return cls((value,) + (0,) * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -57,51 +48,13 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("truncation cannot extend the order")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries((self.coeffs[0] + other,) + self.coeffs[1:])
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))[: n + 1]
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return self + (-other)
-        return self + (-1) * other
-
     def __mul__(self, other):
-        """Scalar multiple; series products go through `GeometricFactor.apply`."""
+        """Scalar multiple, kept because ``bench/tracer.py`` wraps it at install."""
         if not isinstance(other, int):
             return NotImplemented
         return TruncatedSeries(tuple(other * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class GeometricFactor:
-    """x^a / (1 - lam*x^a), expanded as lam^(j-1) at x^(a*j)."""
-
-    a: int
-    lam: int
-
-    def __post_init__(self) -> None:
-        if self.a < 1:
-            raise ValueError("exponent must be at least 1")
-        if self.lam not in (1, 2):
-            raise ValueError("scale must be 1 or 2")
-
-    def apply(self, s: TruncatedSeries) -> TruncatedSeries:
-        """s times this factor, by the filter out[n] = s[n-a] + lam*out[n-a]."""
-        return TruncatedSeries(tuple(_filter(self.a, self.lam, s.coeffs)))
 
 
 def _filter(a: int, lam: int, coeffs) -> list[int]:

@@ -1,16 +1,24 @@
-"""Embedded reference tables, as tables or flattened into sequences.
+"""Reference data and reference implementations the tests compare against.
 
 The CSV files under ``data/`` carry the reference count tables verbatim,
 including their printed total columns, so comparisons against them never
 touch the network.  Loaders return plain integers (or decimal strings for
 the theta table, whose cells are rounded values by nature).
+
+The functions below the loaders are oracles written as the definitions
+read, kept apart from the package so the code under test never checks
+itself: integer partitions (gap-free ones count the supporting family
+``g``) and the cell-level support rule.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
+from typing import Iterable, Iterator
+
+DATA = Path(__file__).parent / "data"
 
 
 @dataclass(frozen=True)
@@ -24,8 +32,7 @@ class CountTableFixture:
 
 
 def _read_csv(name: str) -> list[list[str]]:
-    path = resources.files("dominotowers.data").joinpath(name)
-    with path.open("r", encoding="ascii", newline="") as handle:
+    with (DATA / name).open("r", encoding="ascii", newline="") as handle:
         return [row for row in csv.reader(handle) if row]
 
 
@@ -68,3 +75,33 @@ def flatten_triangle(table_name: str) -> tuple[int, ...]:
     for n, row in enumerate(fixture.cells, start=1):
         values.extend(row[: min(n, fixture.max_b)])
     return tuple(values)
+
+
+def partitions(n: int, cap: int | None = None) -> Iterator[list[int]]:
+    """Integer partitions of n in non-increasing part order."""
+    cap = n if cap is None else cap
+    if n == 0:
+        yield []
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in partitions(n - first, first):
+            yield [first] + rest
+
+
+def gapfree_partition_census(n: int) -> dict[int, int]:
+    """Partitions whose distinct parts form a consecutive run, by largest part."""
+    if not 1 <= n <= 40:
+        raise ValueError("n must be between 1 and 40")
+    out: dict[int, int] = {}
+    for parts in partitions(n):
+        distinct = sorted(set(parts))
+        if distinct == list(range(distinct[0], distinct[-1] + 1)):
+            out[parts[0]] = out.get(parts[0], 0) + 1
+    return out
+
+
+def cell_supported(cells: Iterable[tuple[int, int]], domino: tuple[int, int]) -> bool:
+    """The support rule as stated: a cell under the domino with left cell (x, y)."""
+    x, y = domino
+    cs = set(cells)
+    return (x, y - 1) in cs or (x + 1, y - 1) in cs

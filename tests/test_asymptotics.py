@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dominotowers import fixtures
 from dominotowers.asymptotics import (
     UnsupportedB,
     approx_theta,
@@ -31,6 +30,7 @@ from dominotowers.asymptotics import (
     theta_from_parts,
 )
 from dominotowers.render import format_fixed
+import references
 
 
 def reference_theta(b):
@@ -186,7 +186,7 @@ class TestEstimateRows:
         ]
 
     def test_reference_table_known_inconsistency_at_b5(self):
-        printed = fixtures.theta_table()
+        printed = references.theta_table()
         assert printed["estimate"][3] == "0.21675"
         assert printed["error"][3] == "0.00319"
         assert format_fixed(approx_theta(5), 5) == "0.21625"

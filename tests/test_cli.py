@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from dominotowers import cli, fixtures, recurrences
+from dominotowers import cli, recurrences
 from dominotowers.cli import build_parser, main
+import references
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -106,7 +107,7 @@ class TestTable:
         _, out, _ = run(capsys, "table", "h", "--max-n", "10", "--max-b", "10")
         rows = [line.split(",") for line in out.splitlines()[1:]]
         cells = [tuple(int(v) for v in row[1:-1]) for row in rows]
-        assert tuple(cells) == fixtures.stack_table().cells
+        assert tuple(cells) == references.stack_table().cells
 
     def test_single_cell_table(self, capsys):
         code, out, _ = run(capsys, "table", "r", "--max-n", "1", "--max-b", "1")
@@ -470,7 +471,7 @@ class TestSeries:
 
 class TestOeisCheck:
     def test_reference_triangle_passes(self, capsys, tmp_path):
-        flat = fixtures.flatten_triangle("convex_counts.csv")
+        flat = references.flatten_triangle("convex_counts.csv")
         bfile = tmp_path / "b275662.txt"
         bfile.write_text(
             "".join(f"{i} {v}\n" for i, v in enumerate(flat, start=1))
@@ -480,7 +481,7 @@ class TestOeisCheck:
         assert "55/55 terms match" in out
 
     def test_mismatch_exits_one(self, capsys, tmp_path):
-        values = list(fixtures.flatten_triangle("convex_counts.csv"))
+        values = list(references.flatten_triangle("convex_counts.csv"))
         values[30] += 7
         bfile = tmp_path / "bad.txt"
         bfile.write_text(
@@ -632,7 +633,7 @@ class TestReusedParser:
 class TestImports:
     def test_cli_loads_no_network_modules(self, tmp_path):
         # the network stack is for --fetch alone; every other call skips it
-        flat = fixtures.flatten_triangle("convex_counts.csv")
+        flat = references.flatten_triangle("convex_counts.csv")
         bfile = tmp_path / "b275662.txt"
         bfile.write_text("".join(f"{i} {v}\n" for i, v in enumerate(flat, start=1)))
         code = (
@@ -657,6 +658,28 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         # the fetch path still reaches urlopen, here a stand-in
         assert proc.stdout.splitlines() == ["[]", "'1 1\\n'"]
+
+    def test_package_holds_only_what_the_cli_loads(self):
+        # reference data and test-only oracles live under tests/, not here
+        package = ROOT / "src" / "dominotowers"
+        entries = [p for p in package.iterdir() if p.name != "__pycache__"]
+        assert [p.name for p in entries if p.suffix != ".py"] == []
+        expected = sorted(
+            "dominotowers" if p.stem == "__init__" else f"dominotowers.{p.stem}"
+            for p in entries
+            if p.stem != "__main__"
+        )
+        code = (
+            "import sys\n"
+            "import dominotowers, dominotowers.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dominotowers'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env("src"), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(expected)
 
 
 class TestExitCodes:

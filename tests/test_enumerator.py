@@ -9,8 +9,6 @@ from dominotowers.enumerator import (
     CapExceeded,
     census,
     enumerate_towers,
-    gapfree_partition_census,
-    partitions,
     tower_lines,
     walk,
 )
@@ -21,6 +19,7 @@ from dominotowers.model import (
     is_convex,
     is_supporting,
 )
+from references import gapfree_partition_census, partitions
 
 CONVEX = frozenset(TowerClass) - {TowerClass.NON_CONVEX}
 BASE, WIDEST = 0, 1  # positions in a census key (base, widest row, class)

@@ -8,7 +8,6 @@ from dominotowers.model import (
     Dissection,
     TowerClass,
     TowerShape,
-    cell_supported,
     classify,
     dissect,
     is_convex,
@@ -17,6 +16,7 @@ from dominotowers.model import (
     validate,
 )
 from dominotowers.enumerator import enumerate_towers
+from references import cell_supported
 
 
 def shape(*pairs):

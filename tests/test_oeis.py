@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dominotowers import fixtures, oeis, recurrences
+from dominotowers import oeis, recurrences
 from dominotowers.asymptotics import limit_constant_digits
 from dominotowers.oeis import (
     AlignmentError,
@@ -24,6 +24,7 @@ from dominotowers.oeis import (
     fetch_bfile,
     parse_bfile,
 )
+import references
 
 
 def bfile_text(values, start=1, header=True):
@@ -76,19 +77,19 @@ class TestParse:
 
 class TestCompare:
     def test_convex_triangle_from_reference_table(self):
-        flat = fixtures.flatten_triangle("convex_counts.csv")
+        flat = references.flatten_triangle("convex_counts.csv")
         result = compare_bfile("A275662", "c", bfile_text(flat))
         assert result.ok
         assert result.compared == result.matched == 55
         assert result.candidate == "rows b=1..n"
 
     def test_stack_triangle_from_reference_table(self):
-        flat = fixtures.flatten_triangle("stack_counts.csv")
+        flat = references.flatten_triangle("stack_counts.csv")
         result = compare_bfile("A275204", "h", bfile_text(flat))
         assert result.ok and result.compared == 55
 
     def test_skew_triangle_from_reference_table(self):
-        flat = fixtures.flatten_triangle("skewed_counts.csv")
+        flat = references.flatten_triangle("skewed_counts.csv")
         result = compare_bfile("A275599", "r", bfile_text(flat))
         assert result.ok and result.compared == 54
 
@@ -101,7 +102,7 @@ class TestCompare:
         ],
     )
     def test_detects_dropped_diagonal(self, table, seq_id, family):
-        cells = fixtures.load_count_table(table).cells
+        cells = references.load_count_table(table).cells
         flat = [v for n, row in enumerate(cells, start=1) for v in row[: n - 1]]
         result = compare_bfile(seq_id, family, bfile_text(flat))
         assert result.ok
@@ -117,14 +118,14 @@ class TestCompare:
             return real(*args)
 
         monkeypatch.setattr(recurrences, "family_value", counting)
-        flat = fixtures.flatten_triangle("convex_counts.csv")
+        flat = references.flatten_triangle("convex_counts.csv")
         assert compare_bfile("A275662", "c", bfile_text(flat)).ok
         # 11 rows fill all four readings: the dropped-diagonal ones need 66 cells
         assert len(calls) <= 66
 
     def test_detects_skipped_leading_zero_row(self):
         # same skew triangle but starting at the first non-zero row
-        flat = fixtures.flatten_triangle("skewed_counts.csv")
+        flat = references.flatten_triangle("skewed_counts.csv")
         result = compare_bfile("A275599", "r", bfile_text(flat[1:]))
         assert result.ok
         assert "leading zero rows skipped" in result.candidate
@@ -154,7 +155,7 @@ class TestCompare:
         assert digits[:10] == [3, 4, 6, 2, 7, 4, 6, 6, 1, 9]
 
     def test_mismatch_is_reported_with_index(self):
-        flat = list(fixtures.flatten_triangle("convex_counts.csv"))
+        flat = list(references.flatten_triangle("convex_counts.csv"))
         flat[20] += 1
         result = compare_bfile("A275662", "c", bfile_text(flat))
         assert not result.ok
@@ -173,7 +174,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("term_cap", [0, -1])
     def test_term_cap_below_one(self, term_cap):
-        flat = fixtures.flatten_triangle("convex_counts.csv")
+        flat = references.flatten_triangle("convex_counts.csv")
         with pytest.raises(ValueError, match="^term_cap must be at least 1$"):
             compare_bfile("A275662", "c", bfile_text(flat), term_cap=term_cap)
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from dominotowers import fixtures, recurrences
+from dominotowers import recurrences
 from dominotowers.recurrences import (
     CountTable,
     UnsupportedK,
@@ -24,6 +24,7 @@ from dominotowers.recurrences import (
     r,
     table,
 )
+import references
 
 TRUE_STACK_TOTALS = [1, 2, 5, 11, 23, 45, 85, 154, 272, 468]
 TRUE_SKEW_TOTALS = [0, 1, 4, 12, 32, 76, 176, 381, 817, 1697]
@@ -125,15 +126,15 @@ class TestBaseCaseGrid:
 
 class TestAgainstReferenceTables:
     def test_stack_cells(self):
-        fixture = fixtures.stack_table()
+        fixture = references.stack_table()
         assert table("h", 10, 10) == [list(row) for row in fixture.cells]
 
     def test_skew_cells(self):
-        fixture = fixtures.skewed_table()
+        fixture = references.skewed_table()
         assert table("r", 10, 9) == [list(row) for row in fixture.cells]
 
     def test_convex_cells(self):
-        fixture = fixtures.convex_table()
+        fixture = references.convex_table()
         assert table("c", 10, 10) == [list(row) for row in fixture.cells]
 
     def test_true_row_totals(self):
@@ -144,15 +145,15 @@ class TestAgainstReferenceTables:
     def test_reference_total_columns_known_inconsistency(self):
         # the reference files carry their upstream tables verbatim; their
         # printed totals disagree with their own rows exactly here
-        stack = fixtures.stack_table()
+        stack = references.stack_table()
         assert list(stack.printed_totals[:8]) == TRUE_STACK_TOTALS[:8]
         assert stack.printed_totals[8] == 267 and TRUE_STACK_TOTALS[8] == 272
         assert stack.printed_totals[9] == 455 and TRUE_STACK_TOTALS[9] == 468
 
-        skew = fixtures.skewed_table()
+        skew = references.skewed_table()
         assert list(skew.printed_totals) == TRUE_SKEW_TOTALS
 
-        convex = fixtures.convex_table()
+        convex = references.convex_table()
         assert list(convex.printed_totals[:6]) == TRUE_CONVEX_TOTALS[:6]
         assert list(convex.printed_totals[6:]) == [541, 1234, 2598, 5340]
         assert TRUE_CONVEX_TOTALS[6:] == [572, 1238, 2606, 5374]
