@@ -98,6 +98,11 @@ class TowerShape:
             (x + dx, y) for y, row in enumerate(self.levels) for x in row for dx in (0, 1)
         )
 
+    @cached_property
+    def convex(self) -> bool:
+        """Row and column convexity, computed once per shape."""
+        return _convex(self.levels)
+
     @property
     def height(self) -> int:
         return len(self.levels)
@@ -208,7 +213,7 @@ def _supporting(steps: list[tuple[int, int]]) -> bool:
 
 def is_convex(shape: TowerShape) -> bool:
     """Row convexity and column convexity of the occupied cells."""
-    return _convex(shape.levels)
+    return shape.convex
 
 
 def is_supporting(shape: TowerShape) -> bool:
@@ -219,7 +224,7 @@ def is_supporting(shape: TowerShape) -> bool:
     cell on each side.  Any other placement of an equal-length row breaks
     convexity once the wider row above is added.
     """
-    return _convex(shape.levels) and _supporting(_steps(shape.levels))
+    return shape.convex and _supporting(_steps(shape.levels))
 
 
 def classify(shape: TowerShape) -> TowerClass:
@@ -229,9 +234,9 @@ def classify(shape: TowerShape) -> TowerClass:
     stacks (all rows equal) or would be caught earlier keep the earlier
     label; ``is_supporting`` stays available as a standalone predicate.
     """
-    levels = shape.levels
-    if not _convex(levels):
+    if not shape.convex:
         return TowerClass.NON_CONVEX
+    levels = shape.levels
     lo, hi = levels[0][0], levels[0][-1]
     if all(row[0] >= lo and row[-1] <= hi for row in levels):
         return TowerClass.STACK
@@ -263,7 +268,7 @@ class Dissection:
 def dissect(shape: TowerShape) -> Dissection:
     if not validate(shape):
         raise ValueError("dissect requires a valid tower")
-    if not is_convex(shape):
+    if not shape.convex:
         raise ValueError("dissect requires a convex tower")
     levels = shape.levels
     widest = shape.max_row_b

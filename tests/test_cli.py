@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dominotowers import cli, recurrences
+from dominotowers import cli, model, recurrences
 from dominotowers.cli import build_parser, main
 import references
 
@@ -338,6 +338,20 @@ class TestVerify:
             (n, b) for n in range(1, max_n + 1) for b in range(1, n + 1)
         ]
 
+    def test_convexity_is_decided_once_per_convex_tower(self, monkeypatch):
+        # classify decides it and dissect reads the shape's cached answer
+        calls = []
+        real = model._convex
+
+        def counting(levels):
+            calls.append(levels)
+            return real(levels)
+
+        monkeypatch.setattr(model, "_convex", counting)
+        assert all(passed for _, passed, _ in cli.run_verifications(9))
+        # the convex towers with n <= 9, each decided once
+        assert len(calls) == len(set(calls)) == 4835
+
 
 class TestEnumerate:
     def test_golden_stream(self, capsys):
@@ -361,8 +375,15 @@ class TestEnumerate:
              "dca0b94f1a19d05a984c49a61502f96c5f6dec11dd6088a6735dd7876f4ee5db"),
             (["verify", "--max-n", "8"], 3,
              "9cbe8f9195a1dc63f77b1caa31d0ebeac1573a96f48db8b5fd00d14e0dc3b0c8"),
+            (["enumerate", "--n", "9"], 65536,
+             "5f9c7cd5c0c372e60ae82d3a14d6a238b1a41ece1064652969dea5008a315585"),
+            (["enumerate", "--n", "10", "--b", "4"], 27132,
+             "e7c2a7c743cf2961b90b3dbb1e79d98634e24b21b91d1b58a5fa3a0c37efb7d2"),
+            (["verify", "--max-n", "9"], 3,
+             "24cd8f2681d4edabaa572b00415b5f21273aa60f5f1e420cb1308339cd9fe781"),
         ],
-        ids=["enum-n8", "enum-n7-b3", "verify-n8"],
+        ids=["enum-n8", "enum-n7-b3", "verify-n8",
+             "enum-n9", "enum-n10-b4", "verify-n9"],
     )
     def test_stdout_digest(self, capsys, argv, lines, digest):
         # byte pins for the streams past the golden files' sizes

@@ -1,5 +1,6 @@
 """Brute-force generation against every independent count we know."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -122,6 +123,57 @@ class TestConvexFlag:
                     shifted[convex] += 1
         if n >= 3:
             assert min(shifted.values()) > 0, shifted
+
+
+class TestNodeWork:
+    """What depends only on a node is done once for it, not per tower."""
+
+    def test_walks_build_no_shape_to_shift(self, monkeypatch):
+        calls = []
+        real = TowerShape.__dict__["from_levels"].__func__
+
+        def counting(cls, levels):
+            calls.append(levels)
+            return real(cls, levels)
+
+        monkeypatch.setattr(TowerShape, "from_levels", classmethod(counting))
+        assert sum(1 for _ in walk(9)) == 4 ** 8
+        assert sum(1 for _ in tower_lines(9)) == 4 ** 8
+        assert calls == []
+
+    def test_level_sets_match_raw_positions(self, monkeypatch):
+        asked = set()
+        real = enumerator._level_sets
+
+        def recording(below, max_size):
+            asked.add((below, max_size))
+            return real(below, max_size)
+
+        monkeypatch.setattr(enumerator, "_level_sets", recording)
+        for n in range(1, 9):
+            for _ in walk(n):
+                pass
+            for _ in tower_lines(n):
+                pass
+        assert len(asked) > 100
+        for below, budget in asked:
+            allowed = sorted({p + dx for p in below for dx in (-1, 0, 1)})
+            raw = sorted(
+                level
+                for size in range(1, budget + 1)
+                for level in combinations(allowed, size)
+                if all(q - p >= 2 for p, q in zip(level, level[1:]))
+            )
+            assert min(allowed) >= -1
+            want = [
+                (
+                    tuple(x + 1 for x in level) if level[0] == -1 else level,
+                    level[0] == -1,
+                    budget - len(level),
+                )
+                for level in raw
+            ]
+            assert list(real(below, budget)) == want, (below, budget)
 
 
 class TestTowerLines:
