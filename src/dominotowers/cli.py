@@ -1,12 +1,12 @@
 """Command-line surface.
 
 Subcommands: count, table, theta, verify, enumerate, series, oeis-check.
-Exit codes: 0 success, 1 verification mismatch, 2 usage error or out of
-memory, 3 I/O or network failure.  Handlers check their arguments, raise and
-print results; ``main`` alone turns an exception into an exit code and an
-``error: ...`` line on stderr, except that a reader closing stdout early
-gets exit 3 and no message.  The argument parser is built once per process
-and shared by every ``main`` call.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, out of
+memory or a number too large for the machine, 3 I/O or network failure.
+Handlers check their arguments, raise and print results; ``main`` alone
+turns an exception into an exit code and an ``error: ...`` line on stderr,
+except that a reader closing stdout early gets exit 3 and no message.  The
+argument parser is built once per process and shared by every ``main`` call.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ def cmd_theta(args) -> int:
 def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
     """All cross-checks up to max_n; (name, passed, detail) per check.
 
-    Each (n, b) is walked once: every tower's levels join that base's set
-    of distinct shapes, and each tower the walk flags convex is classified,
-    dissected and recombined.
+    Each (n, b) is walked once: every tower's base-anchored levels join
+    that base's set of distinct towers, and each tower the walk flags convex
+    is made a canonical shape, then classified, dissected and recombined.
     """
     from math import comb
 
@@ -166,10 +166,10 @@ def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
             seen = set()
             labels = by_base[b] = Counter()
             for levels, convex in walk(n, b):
-                seen.add(levels)  # not the shape: a third less memory
+                seen.add(levels)  # anchored levels: a normal form, no shape
                 if not convex:
                     continue
-                shape = TowerShape(levels)
+                shape = TowerShape.from_levels(levels)
                 label = model.classify(shape)
                 labels[label] += 1
                 convex_by_width[shape.max_row_b] += 1
@@ -314,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 3
+    except OverflowError as exc:
+        message, code = f"argument too large: {exc}", 2
     except (OSError, UnicodeDecodeError, oeis.FetchError) as exc:
         message, code = exc, 3
     except oeis.AlignmentError as exc:

@@ -55,7 +55,7 @@ class TowerShape:
     """A finite, canonically translated set of dominoes, stored by level.
 
     ``levels`` holds the left cells of the dominoes on each level, bottom to
-    top, each level sorted and the smallest left cell shifted to 0.
+    top, each level sorted and the smallest left cell translated to 0.
     Construction does not enforce tower validity; ``validate`` is the total
     predicate for that.  Identity, equality, and hashing use ``levels``,
     which for canonical shapes is one-to-one with the sorted cell list.
@@ -65,7 +65,7 @@ class TowerShape:
 
     @classmethod
     def from_levels(cls, levels: Levels) -> "TowerShape":
-        """Shape from sorted levels, shifted so the smallest left cell is 0."""
+        """Shape from sorted levels, translated so the smallest left cell is 0."""
         shift = min(row[0] for row in levels if row)
         if shift:
             levels = tuple(tuple(x - shift for x in row) for row in levels)
@@ -286,5 +286,5 @@ def recombine(dissection: Dissection) -> TowerShape:
         return upper
     top_lo, _ = lower.row_span(lower.height - 1)
     dx = (top_lo - 1) - upper.row_span(0)[0]
-    shifted = tuple(tuple(x + dx for x in row) for row in upper.levels)
-    return TowerShape.from_levels(lower.levels + shifted)
+    placed = tuple(tuple(x + dx for x in row) for row in upper.levels)
+    return TowerShape.from_levels(lower.levels + placed)

@@ -693,14 +693,21 @@ class TestImports:
         code = (
             "import sys\n"
             "import dominotowers, dominotowers.cli\n"
+            "tops = {m.split('.')[0] for m in sys.modules}\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dominotowers'))\n"
+            "ok = set(sys.stdlib_module_names) | {'dominotowers', '__main__'}\n"
+            "print(sorted(tops - ok))\n"
         )
+        # -S: no site hooks, which may import third-party modules at startup
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-S", "-c", code],
             env=child_env("src"), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == repr(expected)
+        ours, third_party = proc.stdout.splitlines()
+        assert ours == repr(expected)
+        # the runtime is stdlib-only
+        assert third_party == "[]"
 
 
 class TestExitCodes:
@@ -741,6 +748,10 @@ class TestExitCodes:
             pytest.param(
                 ("oeis-check", "A275662", "--cache-dir", "empty"), None, 3,
                 id="fetch",
+            ),
+            pytest.param(
+                ("count", "h", "--b", "3", "--n", "99999999999999999999999"), None, 2,
+                id="overflow",
             ),
         ],
     )

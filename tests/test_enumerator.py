@@ -65,15 +65,22 @@ class TestEnumerate:
         for n in range(1, 9):
             for t in enumerate_towers(n):
                 assert validate(t)
-                # leaves are built as TowerShape(levels), with no shift
                 assert TowerShape.from_levels(t.levels).levels == t.levels
 
-    def test_level_sets_are_computed_once_per_row_and_budget(self):
+    def test_level_sets_are_computed_once_per_row_and_budget(self, monkeypatch):
         # 4^8 = 65536 towers at n = 9 ask for level sets some 21000 times,
-        # over about 300 distinct (row, budget) pairs
-        enumerator._level_sets.cache_clear()
+        # over 478 distinct (row, budget) pairs in anchored coordinates
+        asked = set()
+        real = enumerator._level_sets
+
+        def recording(below, max_size):
+            asked.add((below, max_size))
+            return real(below, max_size)
+
+        monkeypatch.setattr(enumerator, "_level_sets", recording)
+        real.cache_clear()
         assert sum(1 for _ in enumerate_towers(9)) == 4 ** 8
-        assert enumerator._level_sets.cache_info().misses <= 400
+        assert real.cache_info().misses == len(asked) <= 500
 
     def test_stream_is_deterministic(self):
         assert towers(5) == towers(5)
@@ -113,16 +120,16 @@ class TestConvexFlag:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_flag_equals_is_convex(self, n):
-        shifted = {True: 0, False: 0}
+        leftward = {True: 0, False: 0}
         for b in range(1, n + 1):
             for levels, convex in walk(n, b):
-                assert convex == is_convex(TowerShape(levels)), levels
-                # a base off x = 0 means some level reached x = -1 and the
-                # walk shifted the levels and the masks
-                if levels[0][0]:
-                    shifted[convex] += 1
+                assert convex == is_convex(TowerShape.from_levels(levels)), levels
+                # a level left of the base (x < 0) sets mask bits below
+                # the base's
+                if any(row[0] < 0 for row in levels):
+                    leftward[convex] += 1
         if n >= 3:
-            assert min(shifted.values()) > 0, shifted
+            assert min(leftward.values()) > 0, leftward
 
 
 class TestNodeWork:
@@ -158,22 +165,23 @@ class TestNodeWork:
         assert len(asked) > 100
         for below, budget in asked:
             allowed = sorted({p + dx for p in below for dx in (-1, 0, 1)})
-            raw = sorted(
-                level
+            want = sorted(
+                (level, budget - size)
                 for size in range(1, budget + 1)
                 for level in combinations(allowed, size)
                 if all(q - p >= 2 for p, q in zip(level, level[1:]))
             )
-            assert min(allowed) >= -1
-            want = [
-                (
-                    tuple(x + 1 for x in level) if level[0] == -1 else level,
-                    level[0] == -1,
-                    budget - len(level),
-                )
-                for level in raw
-            ]
             assert list(real(below, budget)) == want, (below, budget)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_anchored_levels_are_a_normal_form(self, n):
+        # the base never moves, so distinct towers have distinct levels
+        for b in range(1, n + 1):
+            base = tuple(range(0, 2 * b, 2))
+            anchored = [levels for levels, _ in walk(n, b)]
+            assert all(levels[0] == base for levels in anchored)
+            shapes = {TowerShape.from_levels(levels) for levels in anchored}
+            assert len(set(anchored)) == len(shapes) == comb(2 * n - 1, n - b)
 
 
 class TestTowerLines:
@@ -245,6 +253,19 @@ class TestCensus:
                     counts[b] = counts.get(b, 0) + 1
             for b in range(2, n + 2):
                 assert counts.get(b, 0) == recurrences.g(b, n), (b, n)
+
+    def test_classifies_the_canonical_convex_shapes(self, monkeypatch):
+        # classify reads only how rows move, so it would count a shape left
+        # in anchored position right; TowerShape promises canonical levels
+        classified = []
+
+        def recording(shape):
+            classified.append(shape)
+            return classify(shape)
+
+        monkeypatch.setattr(enumerator, "classify", recording)
+        census(6)
+        assert classified == [t for t in towers(6) if is_convex(t)]
 
     def test_mirror_counts_equal_through_n8(self):
         counts = census(8)
