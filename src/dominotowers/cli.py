@@ -16,6 +16,7 @@ import os
 import sys
 from collections import Counter
 from functools import cache
+from math import comb
 from pathlib import Path
 
 from . import asymptotics, model, oeis, recurrences, series
@@ -147,12 +148,9 @@ def cmd_theta(args) -> int:
 def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
     """All cross-checks up to max_n; (name, passed, detail) per check.
 
-    Each (n, b) is walked once: every tower's base-anchored levels join
-    that base's set of distinct towers, and each tower the walk flags convex
-    is made a canonical shape, then classified, dissected and recombined.
+    Each (n, b) is walked once; a strictly increasing stream of C(2n-1, n-b)
+    towers proves them distinct, and each convex one is checked as a shape.
     """
-    from math import comb
-
     count_mismatches: list[str] = []
     family_mismatches: list[str] = []
     dissect_mismatches: list[str] = []
@@ -160,19 +158,17 @@ def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
     total = 0
     for n in range(1, max_n + 1):
         total = 0
-        by_base: dict[int, Counter[TowerClass]] = {}
-        convex_by_width: Counter[int] = Counter()
+        tally: Counter[tuple[TowerClass | str, int]] = Counter()
         for b in range(1, n + 1):
-            seen = set()
-            labels = by_base[b] = Counter()
-            for levels, convex in walk(n, b):
-                seen.add(levels)  # anchored levels: a normal form, no shape
+            count, prev, ordered = 0, (), True
+            for count, (levels, convex) in enumerate(walk(n, b), 1):
+                ordered, prev = ordered and prev < levels, levels
                 if not convex:
                     continue
                 shape = TowerShape.from_levels(levels)
                 label = model.classify(shape)
-                labels[label] += 1
-                convex_by_width[shape.max_row_b] += 1
+                tally[label, b] += 1
+                tally["c", shape.max_row_b] += 1
                 # a tower the walk flags in error still counts towards c, so
                 # the census check fails; dissect would refuse it
                 if label is TowerClass.NON_CONVEX:
@@ -180,18 +176,20 @@ def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
                 if recombine(dissect(shape)) != shape:
                     dissect_mismatches.append(f"round trip failed for {shape}")
             expected = comb(2 * n - 1, n - b)
-            total += len(seen)
-            shapes_checked += len(seen)
-            if len(seen) != expected:
-                count_mismatches.append(f"count({n},{b}) = {len(seen)} != {expected}")
+            total += count
+            shapes_checked += count
+            if not ordered:
+                count_mismatches.append(f"walk({n},{b}) is not strictly increasing")
+            if count != expected:
+                count_mismatches.append(f"count({n},{b}) = {count} != {expected}")
         if total != 4 ** (n - 1):
             count_mismatches.append(f"total({n}) = {total} != {4 ** (n - 1)}")
         for b in range(1, n + 1):
             pairs = (
-                ("h", by_base[b][TowerClass.STACK], recurrences.h(b, n)),
-                ("r", by_base[b][TowerClass.RIGHT_SKEWED], recurrences.r(b, n)),
-                ("mirror", by_base[b][TowerClass.LEFT_SKEWED], recurrences.r(b, n)),
-                ("c", convex_by_width[b], recurrences.c(b, n)),
+                ("h", tally[TowerClass.STACK, b], recurrences.h(b, n)),
+                ("r", tally[TowerClass.RIGHT_SKEWED, b], recurrences.r(b, n)),
+                ("mirror", tally[TowerClass.LEFT_SKEWED, b], recurrences.r(b, n)),
+                ("c", tally["c", b], recurrences.c(b, n)),
             )
             for name, got, expected in pairs:
                 if got != expected:

@@ -8,7 +8,9 @@ with no deduplication state; correctness of the position set rests on the
 support-rule equivalence checked in the model tests.
 
 The stream order is deterministic: bases ascend, and level sets are visited
-in lexicographic order of their position tuples, depth first.
+in lexicographic order of their position tuples, depth first.  As no tower
+is a prefix of another, each (n, b) stream is strictly increasing as tuples
+of base-anchored levels; ``verify`` checks this instead of storing towers.
 
 Coordinates are base-anchored: the base's dominoes sit at x = 0, 2, ...,
 2b - 2 for the whole walk, and higher levels may reach left of it, down to

@@ -252,22 +252,25 @@ class TestVerify:
             "c(2,2): census 1 != recurrence 2"
         )
 
-    def test_duplicate_shape_fails_count_check(self, capsys, monkeypatch):
-        # the raw count is unchanged; only the distinct-shape set sees it
+    @pytest.mark.parametrize("edit", ["duplicate", "swap"])
+    def test_duplicate_shape_fails_count_check(self, capsys, monkeypatch, edit):
         real = cli.walk
 
-        def duplicating(n, b=None):
+        def edited(n, b=None):
             towers = list(real(n, b))
             if n == 3 and b == 2:
-                towers[1] = towers[0]
+                if edit == "duplicate":
+                    towers[1] = towers[0]
+                else:
+                    towers[0], towers[1] = towers[1], towers[0]
             yield from towers
 
-        monkeypatch.setattr(cli, "walk", duplicating)
+        monkeypatch.setattr(cli, "walk", edited)
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == 1
         assert out.splitlines()[0] == (
             "FAIL known counts: C(2n-1, n-b) per base and 4^(n-1) per size: "
-            "count(3,2) = 4 != 5; total(3) = 15 != 16"
+            "walk(3,2) is not strictly increasing"
         )
 
     def test_broken_recombine_fails_round_trip(self, capsys, monkeypatch):
@@ -351,6 +354,20 @@ class TestVerify:
         assert all(passed for _, passed, _ in cli.run_verifications(9))
         # the convex towers with n <= 9, each decided once
         assert len(calls) == len(set(calls)) == 4835
+
+    def test_memory_does_not_grow_with_towers_walked(self):
+        # a warm run holds a count, the last tower and a flag per (n, b);
+        # keeping every tower of a class would peak near 1 MB at n = 8
+        import tracemalloc
+
+        cli.run_verifications(8)  # fill the memos and count tables
+        tracemalloc.start()
+        try:
+            assert all(passed for _, passed, _ in cli.run_verifications(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6e6
 
 
 class TestEnumerate:

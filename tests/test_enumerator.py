@@ -180,6 +180,8 @@ class TestNodeWork:
             base = tuple(range(0, 2 * b, 2))
             anchored = [levels for levels, _ in walk(n, b)]
             assert all(levels[0] == base for levels in anchored)
+            # verify proves the towers distinct by this strict order
+            assert all(lo < hi for lo, hi in zip(anchored, anchored[1:]))
             shapes = {TowerShape.from_levels(levels) for levels in anchored}
             assert len(set(anchored)) == len(shapes) == comb(2 * n - 1, n - b)
 
