@@ -2,7 +2,8 @@
 
 Subcommands: count, table, theta, verify, enumerate, series, oeis-check.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, out of
-memory or a number too large for the machine, 3 I/O or network failure.
+memory or a number too large for the machine, 3 I/O failure or a malformed
+b-file.
 Handlers check their arguments, raise and print results; ``main`` alone
 turns an exception into an exit code and an ``error: ...`` line on stderr,
 except that a reader closing stdout early gets exit 3 and no message.  The
@@ -31,17 +32,9 @@ from .model import TowerClass, TowerShape, dissect, recombine
 from .recurrences import FAMILIES
 from .render import FORMATS, count_table_rows, format_fixed, render_table
 
-CACHE_ENV_VAR = "DOMINOTOWERS_CACHE_DIR"
 ORDER_CAP = 4096  # table bounds, series order and base, b-file terms compared
 THETA_MAX_B = 128  # bounds the table: 128 bases at 1000 decimals print 383 kB
 THETA_MAX_DECIMALS = 1000
-
-
-def default_cache_dir() -> Path:
-    override = os.environ.get(CACHE_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "dominotowers"
 
 
 @cache
@@ -97,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis = sub.add_parser("oeis-check", help="compare a family against a b-file")
     p_oeis.add_argument("sequence_id")
     p_oeis.add_argument("--family", choices=oeis.FAMILY_CHOICES, default=None)
-    p_oeis.add_argument("--bfile", type=Path, default=None)
-    p_oeis.add_argument("--fetch", action="store_true")
-    p_oeis.add_argument("--cache-dir", type=Path, default=None)
+    p_oeis.add_argument("--bfile", type=Path, required=True)
 
     return parser
 
@@ -266,11 +257,7 @@ def cmd_oeis_check(args) -> int:
     family = args.family or oeis.KNOWN_SEQUENCES.get(args.sequence_id)
     if family is None:
         raise ValueError(f"unknown sequence {args.sequence_id}; pass --family")
-    if args.bfile is not None:
-        text = args.bfile.read_text(encoding="utf-8")
-    else:
-        cache_dir = args.cache_dir or default_cache_dir()
-        text = oeis.fetch_bfile(args.sequence_id, cache_dir, allow_network=args.fetch)
+    text = args.bfile.read_text(encoding="utf-8")
     result = oeis.compare_bfile(args.sequence_id, family, text, term_cap=ORDER_CAP)
     print(
         f"{result.sequence_id} as {result.family} ({result.candidate}): "
@@ -314,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OverflowError as exc:
         message, code = f"argument too large: {exc}", 2
-    except (OSError, UnicodeDecodeError, oeis.FetchError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         message, code = exc, 3
     except oeis.AlignmentError as exc:
         message, code = exc, 1

@@ -1,4 +1,4 @@
-"""OEIS b-file parsing, fetching with a local cache, and term comparison.
+"""OEIS b-file parsing and term comparison.
 
 A b-file is a text file of ``index value`` lines; ``#`` starts a comment and
 both LF and CRLF are tolerated.  Comparison computes our side of a sequence
@@ -8,18 +8,13 @@ time and every flattening (with and without the diagonal cell, with and
 without leading all-zero rows) is filled from the same row; partition totals
 are read from index 1 and from index 0.  The layout is detected from the
 b-file itself; if no candidate matches the opening terms, the alignment
-failure is reported rather than guessed around.  The network stack
-(``urllib.request``) is imported only on the fetch path, after the cache and
-the network permission are checked, and the cache directory is created only
-when a fetched b-file is written to it.
+failure is reported rather than guessed around.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import asymptotics, recurrences
 
@@ -51,10 +46,6 @@ class BFileError(ValueError):
         self.line_number = line_number
 
 
-class FetchError(RuntimeError):
-    """Network retrieval failed or was disallowed."""
-
-
 class AlignmentError(RuntimeError):
     """No candidate ordering of our sequence matches the b-file's opening."""
 
@@ -83,49 +74,6 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     if not entries:
         raise BFileError(0, "no data lines")
     return entries
-
-
-def bfile_url(seq_id: str) -> str:
-    return f"https://oeis.org/{seq_id}/b{seq_id[1:]}.txt"
-
-
-def fetch_bfile(
-    seq_id: str,
-    cache_dir: Path,
-    allow_network: bool,
-    timeout: float = 10.0,
-) -> str:
-    """Cached b-file text; at most one retry when the network is allowed."""
-    cached = cache_dir / f"{seq_id}.txt"
-    if cached.exists():
-        return cached.read_text(encoding="utf-8")
-    if not allow_network:
-        raise FetchError(
-            f"no cached b-file for {seq_id} and network use is disabled"
-        )
-    import urllib.error
-    import urllib.request
-
-    url = bfile_url(seq_id)
-    last_error: Exception | None = None
-    for _ in range(2):
-        try:
-            with urllib.request.urlopen(url, timeout=timeout) as response:
-                text = response.read().decode("utf-8")
-            break
-        except (urllib.error.URLError, OSError) as exc:
-            last_error = exc
-    else:
-        raise FetchError(f"could not fetch {url}: {last_error}")
-    # whole or absent: a later run serves any <id>.txt it finds
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    tmp = cache_dir / f"{seq_id}.{os.getpid()}.tmp"
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, cached)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return text
 
 
 # triangle readings in comparison order: (name, drop each row's diagonal cell,

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes, golden bytes."""
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -540,22 +541,11 @@ class TestOeisCheck:
         bfile.write_text("1 1\n")
         assert run(capsys, "oeis-check", "A999999", "--bfile", str(bfile))[0] == 2
 
-    def test_no_cache_no_network_exits_three(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "oeis-check", "A275662", "--cache-dir", str(tmp_path)
-        )
-        assert code == 3 and "network" in err
-
-    def test_cache_dir_under_a_file_is_a_cache_miss(self, capsys, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        code, out, err = run(
-            capsys, "oeis-check", "A275662", "--cache-dir", str(blocker / "cache")
-        )
-        assert code == 3 and out == ""
-        assert err == (
-            "error: no cached b-file for A275662 and network use is disabled\n"
-        )
+    def test_bfile_is_required(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["oeis-check", "A275662"])
+        assert info.value.code == 2
+        assert "--bfile" in capsys.readouterr().err
 
     def test_overlong_term_exits_three(self, capsys, tmp_path):
         bfile = tmp_path / "b.txt"
@@ -570,12 +560,10 @@ class TestOeisCheck:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_non_utf8_bfile_exits_three(self, capsys, tmp_path, cached):
+    def test_non_utf8_bfile_exits_three(self, capsys, tmp_path):
         bfile = tmp_path / "A275662.txt"
         bfile.write_bytes(b"1 1\n2 \xff\n")
-        source = ("--cache-dir", str(tmp_path)) if cached else ("--bfile", str(bfile))
-        code, out, err = run(capsys, "oeis-check", "A275662", *source)
+        code, out, err = run(capsys, "oeis-check", "A275662", "--bfile", str(bfile))
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
@@ -670,32 +658,43 @@ class TestReusedParser:
 
 class TestImports:
     def test_cli_loads_no_network_modules(self, tmp_path):
-        # the network stack is for --fetch alone; every other call skips it
+        # oeis-check reads the b-file it is given: no call loads the network
+        # stack, and no module of the package imports it, even lazily
         flat = references.flatten_triangle("convex_counts.csv")
         bfile = tmp_path / "b275662.txt"
         bfile.write_text("".join(f"{i} {v}\n" for i, v in enumerate(flat, start=1)))
         code = (
             "import contextlib, io, sys\n"
-            "from pathlib import Path\n"
-            "from dominotowers import cli, oeis\n"
+            "from dominotowers import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['count', 'h', '--b', '2', '--n', '4']) == 0\n"
             "    assert cli.main(['enumerate', '--n', '3']) == 0\n"
             f"    assert cli.main(['oeis-check', 'A275662', '--bfile', {str(bfile)!r}]) == 0\n"
             "net = ('urllib.request', 'http.client', 'ssl', 'email', 'socket')\n"
             "print(sorted(m for m in net if m in sys.modules))\n"
-            "import urllib.request\n"
-            "urllib.request.urlopen = lambda url, timeout=None: io.BytesIO(b'1 1\\n')\n"
-            f"cache = Path({str(tmp_path / 'cache')!r})\n"
-            "print(repr(oeis.fetch_bfile('A034296', cache, allow_network=True)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=child_env("src"), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        # the fetch path still reaches urlopen, here a stand-in
-        assert proc.stdout.splitlines() == ["[]", "'1 1\\n'"]
+        assert proc.stdout.splitlines() == ["[]"]
+        network = {"urllib", "http", "socket", "ssl"}
+        found = []
+        for path in sorted((ROOT / "src" / "dominotowers").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [
+                    f"{path.name}: {name}"
+                    for name in names
+                    if name.split(".")[0] in network
+                ]
+        assert found == []
 
     def test_package_holds_only_what_the_cli_loads(self):
         # reference data and test-only oracles live under tests/, not here
@@ -763,10 +762,6 @@ class TestExitCodes:
                 id="missing-bfile",
             ),
             pytest.param(
-                ("oeis-check", "A275662", "--cache-dir", "empty"), None, 3,
-                id="fetch",
-            ),
-            pytest.param(
                 ("count", "h", "--b", "3", "--n", "99999999999999999999999"), None, 2,
                 id="overflow",
             ),
@@ -798,14 +793,6 @@ class TestExitCodes:
     )
     def test_enumerate_checks(self, capsys, argv, message):
         assert run(capsys, "enumerate", *argv) == (2, "", f"error: {message}\n")
-
-
-class TestCacheDir:
-    def test_cache_env_override(self, monkeypatch, tmp_path):
-        from dominotowers.cli import CACHE_ENV_VAR, default_cache_dir
-
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "alt"))
-        assert default_cache_dir() == tmp_path / "alt"
 
 
 class TestBenchHooks:

@@ -1,14 +1,11 @@
-"""b-file parsing, ordering detection, comparison, and cache behavior.
+"""b-file parsing, ordering detection and comparison.
 
 Comparison tests use b-files generated from the embedded reference tables,
 so the two sides of each check come from independent places: reference
 table cells on one side, recurrence values on the other.
 """
 
-import errno
 import sys
-import urllib.request
-from pathlib import Path
 
 import pytest
 
@@ -17,11 +14,8 @@ from dominotowers.asymptotics import limit_constant_digits
 from dominotowers.oeis import (
     AlignmentError,
     BFileError,
-    FetchError,
     KNOWN_SEQUENCES,
-    bfile_url,
     compare_bfile,
-    fetch_bfile,
     parse_bfile,
 )
 import references
@@ -172,106 +166,13 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_bfile("A000001", "digits", bfile_text([1, 2, 3]))
 
-    @pytest.mark.parametrize("term_cap", [0, -1])
-    def test_term_cap_below_one(self, term_cap):
-        flat = references.flatten_triangle("convex_counts.csv")
-        with pytest.raises(ValueError, match="^term_cap must be at least 1$"):
-            compare_bfile("A275662", "c", bfile_text(flat), term_cap=term_cap)
-
-
-class FakeResponse:
-    """Stands in for the response urllib.request.urlopen returns."""
-
-    def __init__(self, body: bytes):
-        self.body = body
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def read(self):
-        return self.body
-
-
-class TestFetch:
-    def test_url_pattern(self):
-        assert bfile_url("A275662") == "https://oeis.org/A275662/b275662.txt"
-
     def test_known_ids_cover_all_families(self):
         assert set(KNOWN_SEQUENCES.values()) == {
             "g", "h", "r", "c", "partitions", "constant"
         }
 
-    def test_cache_hit_never_opens_a_connection(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("network touched despite cache hit")
-
-        monkeypatch.setattr(urllib.request, "urlopen", refuse)
-        (tmp_path / "A275662.txt").write_text("1 1\n", encoding="utf-8")
-        text = fetch_bfile("A275662", tmp_path, allow_network=True)
-        assert text == "1 1\n"
-
-    def test_network_disabled_without_cache(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("network touched while disabled")
-
-        monkeypatch.setattr(urllib.request, "urlopen", refuse)
-        with pytest.raises(FetchError):
-            fetch_bfile("A275662", tmp_path, allow_network=False)
-
-    def test_cache_directory_is_made_only_on_write(self, tmp_path, monkeypatch):
-        cache_dir = tmp_path / "not" / "yet"
-        with pytest.raises(FetchError):
-            fetch_bfile("A275662", cache_dir, allow_network=False)
-        assert not (tmp_path / "not").exists()
-        monkeypatch.setattr(
-            urllib.request, "urlopen", lambda url, timeout=None: FakeResponse(b"1 1\n")
-        )
-        assert fetch_bfile("A275662", cache_dir, allow_network=True) == "1 1\n"
-        assert (cache_dir / "A275662.txt").read_text(encoding="utf-8") == "1 1\n"
-
-    def test_fetch_writes_cache_and_reuses_it(self, tmp_path, monkeypatch):
-        calls = []
-
-        def fake_urlopen(url, timeout=None):
-            calls.append(url)
-            return FakeResponse(b"1 1\n2 4\n")
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        first = fetch_bfile("A034296", tmp_path, allow_network=True)
-        second = fetch_bfile("A034296", tmp_path, allow_network=True)
-        assert first == second == "1 1\n2 4\n"
-        assert calls == [bfile_url("A034296")]
-        assert (tmp_path / "A034296.txt").exists()
-
-    def test_failed_cache_write_leaves_no_bfile(self, tmp_path, monkeypatch):
-        real_write_text = Path.write_text
-
-        def disk_full(path, text, **kwargs):
-            real_write_text(path, text[: len(text) // 2], **kwargs)
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        def fake_urlopen(url, timeout=None):
-            return FakeResponse(b"1 1\n2 4\n3 9\n")
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        monkeypatch.setattr(Path, "write_text", disk_full)
-        with pytest.raises(OSError):
-            fetch_bfile("A034296", tmp_path, allow_network=True)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_fetch_retries_once_then_fails(self, tmp_path, monkeypatch):
-        calls = []
-
-        def failing_urlopen(url, timeout=None):
-            calls.append(url)
-            raise urllib.error.URLError("down")
-
-        import urllib.error
-
-        monkeypatch.setattr(urllib.request, "urlopen", failing_urlopen)
-        with pytest.raises(FetchError):
-            fetch_bfile("A065446", tmp_path, allow_network=True)
-        assert len(calls) == 2
+    @pytest.mark.parametrize("term_cap", [0, -1])
+    def test_term_cap_below_one(self, term_cap):
+        flat = references.flatten_triangle("convex_counts.csv")
+        with pytest.raises(ValueError, match="^term_cap must be at least 1$"):
+            compare_bfile("A275662", "c", bfile_text(flat), term_cap=term_cap)
