@@ -26,9 +26,12 @@ Families, all counted as fixed polyominoes made of n blocks of length k
   independent of the series module so the two can cross-check each other.
 
 Tables only ever grow: rows b = 1, 2, ... are extended in n by a loop, never
-rebuilt, and running sums over i <= b make each new cell O(1).  For m = n - b
-positive, h(b, n) = (k*b + 1)*S0_b(m) - k*S1_b(m) and r(b, n) = T_b(m), where
-S0_b, S1_b and T_b sum h(i, m), i*h(i, m) and k*r(i, m) + (k-1)*h(i, m).
+rebuilt, and each cell is O(1) from stored values.  Let m = n - b > 0 and read
+rows b <= 0 as zero.  The sum for h(b-1, n-1) runs over the same h(i, m), so
+    h(b, n) - h(b-1, n-1) = h(b, m) + k * sum_{i<b} h(i, m),
+and subtracting that step taken one row down the diagonal leaves
+    h(b, n) = 2 h(b-1, n-1) - h(b-2, n-2) + h(b, m) + (k-1) h(b-1, m).
+One subtraction leaves r(b, n) = r(b-1, n-1) + k r(b, m) + (k-1) h(b, m).
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ class UnsupportedK(ValueError):
 class CountTable:
     """Memo table for one (family, k) whose rows only ever grow in n.
 
-    ``_rows[b][n]`` holds values and ``_sums[b]`` running sums; row 0 is all
-    zeros.  Row lengths never increase with b.  Growth is unsynchronized:
-    callers sharing a table must serialize its growth.
+    ``_rows[b][n]`` holds values; row 0 is all zeros.  Row lengths never
+    increase with b.  Growth is unsynchronized: callers sharing a table must
+    serialize its growth.
     """
 
     def __init__(self, family: str, k: int = 2):
@@ -57,7 +60,6 @@ class CountTable:
         self.k = k
         self._h = _table("h", k) if family == "r" else None  # r reads h rows
         self._rows: list[list[int]] = [[]]
-        self._sums = [(self._rows[0],) * {"g": 0, "h": 2, "r": 1}[family]]
 
     def value(self, b: int, n: int) -> int:
         if b < 1 or n < 1:
@@ -76,11 +78,9 @@ class CountTable:
         """Extend rows 1..max_b through column max_n, lowest row first."""
         if self.family == "r":
             self._h.ensure(max_b, max_n)
-        rows, sums = self._rows, self._sums
+        rows = self._rows
         rows[0].extend([0] * (max_n + 1 - len(rows[0])))
-        while len(rows) <= max_b:
-            rows.append([])
-            sums.append(tuple([] for _ in sums[0]))
+        rows.extend([] for _ in range(len(rows), max_b + 1))
         b = max_b
         while b > 0 and len(rows[b]) <= max_n:
             b -= 1
@@ -88,11 +88,11 @@ class CountTable:
             self._extend(b, max_n)
 
     def _extend(self, b: int, max_n: int) -> None:
-        """Append cells to row b through column max_n; row b-1 is long enough."""
+        """Append row b's cells through max_n; rows b-1 and b-2 are long enough."""
         k = self.k
         row = self._rows[b]
+        below = self._rows[b - 1]
         if self.family == "g":
-            below = self._rows[b - 1]
             for n in range(len(row), max_n + 1):
                 m = n - b + 1
                 if m > 0 and b > 1:
@@ -100,26 +100,23 @@ class CountTable:
                 else:
                     row.append(int(m == 0 and b > 1))
         elif self.family == "h":
-            s0, s1 = self._sums[b]
-            below0, below1 = self._sums[b - 1]
+            below2 = self._rows[max(b - 2, 0)]  # row -1 would wrap to the top
             for n in range(len(row), max_n + 1):
                 m = n - b
                 if m > 0:
-                    v = (k * b + 1) * s0[m] - k * s1[m]
+                    row.append(
+                        2 * below[n - 1] - below2[n - 2] + row[m] + (k - 1) * below[m]
+                    )
                 else:
-                    v = int(m == 0)
-                row.append(v)
-                s0.append(below0[n] + v)
-                s1.append(below1[n] + b * v)
+                    row.append(int(m == 0))
         else:
-            (t,) = self._sums[b]
-            (below,) = self._sums[b - 1]
             h_row = self._h._rows[b]
             for n in range(len(row), max_n + 1):
                 m = n - b
-                v = t[m] if m > 0 else 0
-                row.append(v)
-                t.append(below[n] + k * v + (k - 1) * h_row[n])
+                if m > 0:
+                    row.append(below[n - 1] + k * row[m] + (k - 1) * h_row[m])
+                else:
+                    row.append(0)
 
 
 _tables: dict[tuple[str, int], CountTable] = {}

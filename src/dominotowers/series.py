@@ -11,7 +11,9 @@ Each family has two routes.  The closed form sums over subsets of {1..b-1}
 walked depth first: a child extends its parent's product by one weighted
 filter and each subset adds its own term (practical up to b = 12).  The
 functional equation runs on running sums, a constant number of filters per
-base; it is the production route, and the closed forms cross-check it.
+base; it is the production route, and the closed forms cross-check it.  It
+keeps the paper's sums over smaller bases on purpose: the `recurrences` tables
+grow by diagonal differences, so the two routes share no formulation.
 """
 
 from __future__ import annotations

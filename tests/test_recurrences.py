@@ -10,6 +10,7 @@ that the discrepancy in the reference files is exactly the known one.
 import functools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -202,6 +203,19 @@ class TestTableMechanics:
         # comfortably past 64-bit range
         assert c(1, 200) == 2 ** 200 - 1
         assert r(1, 200) == 2 ** 199 - 1
+
+    def test_stack_and_skew_tables_hold_only_their_values(self, monkeypatch):
+        # h and r at 200 x 200 hold about 2.1 MiB of big ints: the bound admits
+        # the values but not a second big-int row beside each value row
+        monkeypatch.setattr(recurrences, "_tables", {})
+        tracemalloc.start()
+        try:
+            recurrences._table("h", 2).ensure(200, 200)
+            recurrences._table("r", 2).ensure(200, 200)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 3 * 2**20
 
     def test_table_bounds_validation(self):
         with pytest.raises(ValueError):
