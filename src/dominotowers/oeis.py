@@ -89,7 +89,7 @@ _TRIANGLE_READINGS = (
 def _readings(family: str, limit: int) -> list[tuple[str, list[int]]]:
     """Our side as (name, first ``limit`` terms), one pair per reading."""
     if family == "constant":
-        digits = asymptotics.limit_constant_digits(min(limit, DIGIT_CAP))
+        digits = asymptotics.limit_constant_digits(limit)
         return [("decimal digits", [int(d) for d in digits])]
     if family in ("g", "partitions"):
         value = lambda b, n: recurrences.g(b + 1, n)  # column = largest part
@@ -98,6 +98,7 @@ def _readings(family: str, limit: int) -> list[tuple[str, list[int]]]:
     else:
         raise ValueError(f"unknown family {family!r}")
     if family == "partitions":
+        recurrences.g(limit + 1, limit)  # grows once the rectangle the sums read
         totals = [
             sum(value(b, n) for b in range(1, n + 1)) for n in range(1, limit + 1)
         ]

@@ -25,9 +25,10 @@ Families, all counted as fixed polyominoes made of n blocks of length k
   terms are summed.  It is zero for n < b.  This path is deliberately
   independent of the series module so the two can cross-check each other.
 
-Tables only ever grow: rows b = 1, 2, ... are extended in n by a loop, never
-rebuilt, and each cell is O(1) from stored values.  Let m = n - b > 0 and read
-rows b <= 0 as zero.  The sum for h(b-1, n-1) runs over the same h(i, m), so
+Tables only ever grow in n, never rebuilt.  A row is zero left of its first
+non-zero column (none for b < 1 or g's row 1); a g or h row then starts with
+its 1, and every later cell is O(1) from stored values.  With m = n - b > 0
+and rows b <= 0 zero, h(b-1, n-1) sums over the same h(i, m) as h(b, n), so
     h(b, n) - h(b-1, n-1) = h(b, m) + k * sum_{i<b} h(i, m),
 and subtracting that step taken one row down the diagonal leaves
     h(b, n) = 2 h(b-1, n-1) - h(b-2, n-2) + h(b, m) + (k-1) h(b-1, m).
@@ -35,6 +36,9 @@ One subtraction leaves r(b, n) = r(b-1, n-1) + k r(b, m) + (k-1) h(b, m).
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 FAMILIES = ("g", "h", "r", "c")
 
@@ -46,7 +50,7 @@ class UnsupportedK(ValueError):
 class CountTable:
     """Memo table for one (family, k) whose rows only ever grow in n.
 
-    ``_rows[b][n]`` holds values; row 0 is all zeros.  Row lengths never
+    ``_rows[b][n]`` holds values, zero left of ``_first(b)``.  Row lengths never
     increase with b.  Growth is unsynchronized: callers sharing a table must
     serialize its growth.
     """
@@ -58,31 +62,30 @@ class CountTable:
             raise UnsupportedK(f"block length k={k} is not supported")
         self.family = family
         self.k = k
+        self._offset = {"g": -1, "h": 0, "r": 1}[family]
         self._h = _table("h", k) if family == "r" else None  # r reads h rows
         self._rows: list[list[int]] = [[]]
 
     def value(self, b: int, n: int) -> int:
-        if b < 1 or n < 1:
-            return 0
-        if self.family == "g" and (b < 2 or n < b - 1):
-            return 0
-        if self.family == "h" and n < b:
-            return 0
-        if self.family == "r" and n < b + 1:
+        if n < self._first(b):
             return 0
         if b >= len(self._rows) or n >= len(self._rows[b]):
             self.ensure(b, n)
         return self._rows[b][n]
 
+    def _first(self, b: int) -> float:
+        """Row b's first non-zero column (g(b, b-1), h(b, b), r(b, b+1)), or inf."""
+        first = b + self._offset
+        return first if b >= 1 and first >= 1 else math.inf
+
     def ensure(self, max_b: int, max_n: int) -> None:
-        """Extend rows 1..max_b through column max_n, lowest row first."""
+        """Extend rows 0..max_b through column max_n, lowest row first."""
         if self.family == "r":
             self._h.ensure(max_b, max_n)
         rows = self._rows
-        rows[0].extend([0] * (max_n + 1 - len(rows[0])))
         rows.extend([] for _ in range(len(rows), max_b + 1))
         b = max_b
-        while b > 0 and len(rows[b]) <= max_n:
+        while b >= 0 and len(rows[b]) <= max_n:
             b -= 1
         for b in range(b + 1, max_b + 1):
             self._extend(b, max_n)
@@ -91,32 +94,27 @@ class CountTable:
         """Append row b's cells through max_n; rows b-1 and b-2 are long enough."""
         k = self.k
         row = self._rows[b]
-        below = self._rows[b - 1]
+        first = self._first(b)
+        if len(row) <= first:  # zeros, then the 1 of g and h; r's rule gives r(b, b+1)
+            zeros = itertools.repeat(0, min(first, max_n + 1) - len(row))
+            seed = (1,) if first <= max_n and self.family != "r" else ()
+            # chain has no length hint, so extend leaves the spare room appends would
+            row.extend(itertools.chain(zeros, seed))
+        prev = self._rows[b - 1]
         if self.family == "g":
             for n in range(len(row), max_n + 1):
                 m = n - b + 1
-                if m > 0 and b > 1:
-                    row.append(row[m] + (k - 1) * below[m])
-                else:
-                    row.append(int(m == 0 and b > 1))
+                row.append(row[m] + (k - 1) * prev[m])
         elif self.family == "h":
-            below2 = self._rows[max(b - 2, 0)]  # row -1 would wrap to the top
+            prev2 = self._rows[max(b - 2, 0)]  # row -1 would wrap to the top
             for n in range(len(row), max_n + 1):
                 m = n - b
-                if m > 0:
-                    row.append(
-                        2 * below[n - 1] - below2[n - 2] + row[m] + (k - 1) * below[m]
-                    )
-                else:
-                    row.append(int(m == 0))
+                row.append(2 * prev[n - 1] - prev2[n - 2] + row[m] + (k - 1) * prev[m])
         else:
             h_row = self._h._rows[b]
             for n in range(len(row), max_n + 1):
                 m = n - b
-                if m > 0:
-                    row.append(below[n - 1] + k * row[m] + (k - 1) * h_row[m])
-                else:
-                    row.append(0)
+                row.append(prev[n - 1] + k * row[m] + (k - 1) * h_row[m])
 
 
 _tables: dict[tuple[str, int], CountTable] = {}

@@ -142,6 +142,22 @@ class TestCompare:
         )
         assert result.ok and result.candidate == "totals from n=0"
 
+    def test_partition_totals_grow_the_table_once(self, monkeypatch):
+        from dominotowers.recurrences import g
+
+        totals = [sum(g(b, n) for b in range(2, n + 2)) for n in range(1, 301)]
+        calls = []
+        real = recurrences.CountTable.ensure
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences.CountTable, "ensure", counting)
+        assert compare_bfile("A034296", "partitions", bfile_text(totals)).ok
+        assert len(calls) <= 2
+
     def test_constant_digits(self):
         digits = [int(d) for d in limit_constant_digits(12)]
         result = compare_bfile("A065446", "constant", bfile_text(digits))

@@ -8,6 +8,7 @@ that the discrepancy in the reference files is exactly the known one.
 """
 
 import functools
+import math
 import random
 import time
 import tracemalloc
@@ -315,6 +316,18 @@ class TestAgainstDocstringRecurrences:
         monkeypatch.setattr(t, "ensure", refuse)
         assert t.value(b, n) == 0
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("family", "ghr")
+    def test_rows_are_zero_left_of_their_first_column(self, family, k):
+        ref = reference_tables(k)[family]
+        t = CountTable(family, k)
+        for b in range(-2, REF_MAX_B + 1):
+            first = t._first(b)
+            end = REF_MAX_N + 1 if first == math.inf else first
+            assert not any(ref.get((b, n), 0) for n in range(-2, end)), (b, first)
+            if first != math.inf:
+                assert ref[b, first] != 0, (b, first)
+
     def test_standalone_skew_table_reads_the_shared_stacks(self):
         assert CountTable("r").value(3, 10) == r(3, 10)
         assert CountTable("r", 3).value(2, 6) == family_value("r", 2, 6, 3)
@@ -336,7 +349,7 @@ class TestGrowthCost:
         assert time.process_time() - start < 1.0
 
     def test_partition_totals_walk(self, monkeypatch):
-        # the column sums oeis._partition_totals takes, row by row
+        # the partition-total sums of oeis._readings, read cell by cell when cold
         monkeypatch.setattr(recurrences, "_tables", {})
         start = time.process_time()
         for n in range(1, 301):
