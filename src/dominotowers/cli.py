@@ -32,7 +32,7 @@ from .model import TowerClass, TowerShape, dissect, recombine
 from .recurrences import FAMILIES
 from .render import FORMATS, count_table_rows, format_fixed, render_table
 
-ORDER_CAP = 4096  # table bounds, series order and base, b-file terms compared
+ORDER_CAP = 4096  # table bounds, series order and base
 THETA_MAX_B = 128  # bounds the table: 128 bases at 1000 decimals print 383 kB
 THETA_MAX_DECIMALS = 1000
 
@@ -258,7 +258,7 @@ def cmd_oeis_check(args) -> int:
     if family is None:
         raise ValueError(f"unknown sequence {args.sequence_id}; pass --family")
     text = args.bfile.read_text(encoding="utf-8")
-    result = oeis.compare_bfile(args.sequence_id, family, text, term_cap=ORDER_CAP)
+    result = oeis.compare_bfile(args.sequence_id, family, text)
     print(
         f"{result.sequence_id} as {result.family} ({result.candidate}): "
         f"{result.matched}/{result.compared} terms match"

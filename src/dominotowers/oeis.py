@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import asymptotics, recurrences
 
-DEFAULT_TERM_CAP = 1000
+TERM_CAP = 4096
 DIGIT_CAP = 40
 DETECT_PREFIX = 4
 # Python's own int-from-text bound, checked here so that parsing stays bounded
@@ -91,23 +92,17 @@ def _readings(family: str, limit: int) -> list[tuple[str, list[int]]]:
     if family == "constant":
         digits = asymptotics.limit_constant_digits(limit)
         return [("decimal digits", [int(d) for d in digits])]
-    if family in ("g", "partitions"):
-        value = lambda b, n: recurrences.g(b + 1, n)  # column = largest part
-    elif family in ("h", "r", "c"):
-        value = lambda b, n: recurrences.family_value(family, b, n)
-    else:
-        raise ValueError(f"unknown family {family!r}")
     if family == "partitions":
-        recurrences.g(limit + 1, limit)  # grows once the rectangle the sums read
-        totals = [
-            sum(value(b, n) for b in range(1, n + 1)) for n in range(1, limit + 1)
-        ]
+        # row b + 1 counts largest part b; row 1 and rows past n + 1 are 0 at n
+        rows = recurrences.rows("g", limit + 1, limit)
+        totals = [sum(map(itemgetter(n), rows)) for n in range(1, limit + 1)]
         return [("totals from n=1", totals), ("totals from n=0", [1] + totals[:-1])]
+    shift = 1 if family == "g" else 0  # g's column b is largest part b, row b+1
     terms: list[list[int]] = [[] for _ in _TRIANGLE_READINGS]
     n = 0
     while any(len(out) < limit for out in terms):
         n += 1
-        row = [value(b, n) for b in range(1, n + 1)]
+        row = [recurrences.family_value(family, b + shift, n) for b in range(1, n + 1)]
         for (_, drop, skip), out in zip(_TRIANGLE_READINGS, terms):
             cells = row[:-1] if drop else row
             if out or not skip or any(cells):
@@ -129,53 +124,32 @@ class CompareResult:
         return self.compared > 0 and self.matched == self.compared
 
 
-def compare_bfile(
-    seq_id: str,
-    family: str,
-    text: str,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> CompareResult:
-    if term_cap < 1:
-        raise ValueError("term_cap must be at least 1")
-    entries = parse_bfile(text)
-    limit = min(len(entries), term_cap)
-    if family == "constant":
-        limit = min(limit, DIGIT_CAP)
-    entries = entries[:limit]
-    theirs = [value for _, value in entries]
-    start_index = entries[0][0]
+def compare_bfile(seq_id: str, family: str, text: str) -> CompareResult:
+    indices, theirs = zip(*parse_bfile(text))
+    limit = min(len(theirs), DIGIT_CAP if family == "constant" else TERM_CAP)
+    theirs = theirs[:limit]
 
-    def opening(ours: list[int]) -> int:
-        prefix = 0
-        for a, b in zip(ours, theirs):
-            if a != b:
-                break
-            prefix += 1
-        return prefix
+    def scan(name: str, ours: list[int]):
+        """(opening terms matched, name, ours, mismatch positions)."""
+        misses = [pos for pos, (a, b) in enumerate(zip(ours, theirs)) if a != b]
+        return (misses[0] if misses else limit), name, ours, misses
 
-    # max keeps the first of equal prefixes: a later reading needs a longer one
-    prefix, name, ours = max(
-        ((opening(ours), name, ours) for name, ours in _readings(family, limit)),
-        key=lambda scored: scored[0],
+    # max keeps the first of equal openings: a later reading needs a longer one
+    prefix, name, ours, misses = max(
+        (scan(name, ours) for name, ours in _readings(family, limit)), key=itemgetter(0)
     )
     if prefix < min(DETECT_PREFIX, limit):
         raise AlignmentError(
             f"could not align {seq_id} with any {family} ordering; "
             f"best candidate {name!r} matches only {prefix} opening terms"
         )
-
-    matched = 0
-    first_mismatch = None
-    for pos, (a, b) in enumerate(zip(ours, theirs)):
-        if a == b:
-            matched += 1
-        elif first_mismatch is None:
-            first_mismatch = (start_index + pos, a, b)
     return CompareResult(
         sequence_id=seq_id,
         family=family,
         candidate=name,
         compared=limit,
-        matched=matched,
-        first_mismatch=first_mismatch,
+        matched=limit - len(misses),
+        first_mismatch=(
+            (indices[prefix], ours[prefix], theirs[prefix]) if misses else None
+        ),
     )

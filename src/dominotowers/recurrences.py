@@ -181,15 +181,22 @@ def _require_dominoes(k: int) -> None:
         raise UnsupportedK("the convex family is only defined for k=2")
 
 
+def rows(family: str, max_b: int, max_n: int, k: int = 2) -> list[list[int]]:
+    """Rows b = 1..max_b, ``rows[b-1][n]`` the count at (b, n) for n = 0..max_n.
+
+    A g, h or r row is the table's own list, read-only, and may run past max_n.
+    """
+    if family == "c":
+        _require_dominoes(k)
+        return [_convex(b, range(max_n + 1)) for b in range(1, max_b + 1)]
+    t = _table(family, k)
+    t.ensure(max_b, max_n)
+    return t._rows[1 : max_b + 1]
+
+
 def table(family: str, max_n: int, max_b: int, k: int = 2) -> list[list[int]]:
     """Rectangular extract: rows n = 1..max_n, columns b = 1..max_b."""
     if max_n < 1 or max_b < 1:
         raise ValueError("table bounds must be at least 1")
-    if family == "c":
-        _require_dominoes(k)
-        rows = [[0] + _convex(b, range(1, max_n + 1)) for b in range(1, max_b + 1)]
-    else:
-        t = _table(family, k)
-        t.ensure(max_b, max_n)
-        rows = t._rows[1 : max_b + 1]
-    return [[row[n] for row in rows] for n in range(1, max_n + 1)]
+    columns = zip(*rows(family, max_b, max_n, k))
+    return [list(cells) for cells in itertools.islice(columns, 1, max_n + 1)]

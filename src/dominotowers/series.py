@@ -68,9 +68,11 @@ def _filter(a: int, lam: int, coeffs) -> list[int]:
     return out
 
 
-def _check(b: int, method: str = FUNCTIONAL) -> None:
+def _check(b: int, order: int, method: str = FUNCTIONAL) -> None:
     if b < 1:
         raise ValueError("b must be at least 1")
+    if order < 0:
+        raise ValueError("order must be at least 0")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
     if method == CLOSED_FORM and b > MAX_CLOSED_FORM_B:
@@ -92,7 +94,7 @@ def build_G(b: int, order: int) -> TruncatedSeries:
 
     b=1 is the empty sum, the zero series.
     """
-    _check(b)
+    _check(b, order)
     one = [1] + [0] * order
     return TruncatedSeries(tuple(_supporting_chain(b, one, [0] * (order + 1))))
 
@@ -145,7 +147,7 @@ def _stack_and_skew(b: int, order: int) -> tuple[list[int], list[int]]:
 
 def build_H(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     """Stack series for base b."""
-    _check(b, method)
+    _check(b, order, method)
     if method == CLOSED_FORM:
         return TruncatedSeries(tuple(_closed_H(b, order)))
     for h in _stacks(b, order):  # keep one H_i alive at a time, not all b
@@ -160,7 +162,7 @@ def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     S of {j..b-1} of prod 2x^k/(1-2x^k); the summand index is read as j
     throughout, which is what the numbers require.
     """
-    _check(b, method)
+    _check(b, order, method)
     if method == FUNCTIONAL:
         return TruncatedSeries(tuple(_stack_and_skew(b, order)[1]))
     total = [0] * (order + 1)
@@ -171,7 +173,7 @@ def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
 
 def build_C(b: int, order: int) -> TruncatedSeries:
     """Convex-tower series: (G + 1) * (2R + H), with G applied as its chain."""
-    _check(b)
+    _check(b, order)
     h, r = _stack_and_skew(b, order)
     right = [2 * x + v for x, v in zip(r, h)]
     return TruncatedSeries(tuple(_supporting_chain(b, right, right)))

@@ -158,6 +158,35 @@ class TestCompare:
         assert compare_bfile("A034296", "partitions", bfile_text(totals)).ok
         assert len(calls) <= 2
 
+    def test_partition_totals_read_no_single_cells(self, monkeypatch):
+        from dominotowers.recurrences import g
+
+        totals = [sum(g(b, n) for b in range(2, n + 2)) for n in range(1, 301)]
+        calls = []
+        real = recurrences.CountTable.value
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences.CountTable, "value", counting)
+        assert compare_bfile("A034296", "partitions", bfile_text(totals)).ok
+        assert calls == []
+
+    def test_term_cap(self):
+        from dominotowers.recurrences import h
+
+        flat = [h(b, n) for n in range(1, 101) for b in range(1, n + 1)]
+        assert len(flat) == 5050
+        result = compare_bfile("A275204", "h", bfile_text(flat))
+        assert result.ok and result.compared == 4096
+
+    def test_digit_cap(self):
+        digits = [int(d) for d in limit_constant_digits(60)]
+        result = compare_bfile("A065446", "constant", bfile_text(digits))
+        assert result.ok and result.compared == 40
+
     def test_constant_digits(self):
         digits = [int(d) for d in limit_constant_digits(12)]
         result = compare_bfile("A065446", "constant", bfile_text(digits))
@@ -186,9 +215,3 @@ class TestCompare:
         assert set(KNOWN_SEQUENCES.values()) == {
             "g", "h", "r", "c", "partitions", "constant"
         }
-
-    @pytest.mark.parametrize("term_cap", [0, -1])
-    def test_term_cap_below_one(self, term_cap):
-        flat = references.flatten_triangle("convex_counts.csv")
-        with pytest.raises(ValueError, match="^term_cap must be at least 1$"):
-            compare_bfile("A275662", "c", bfile_text(flat), term_cap=term_cap)

@@ -349,7 +349,7 @@ class TestGrowthCost:
         assert time.process_time() - start < 1.0
 
     def test_partition_totals_walk(self, monkeypatch):
-        # the partition-total sums of oeis._readings, read cell by cell when cold
+        # partition totals read cell by cell from a cold table
         monkeypatch.setattr(recurrences, "_tables", {})
         start = time.process_time()
         for n in range(1, 301):

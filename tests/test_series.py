@@ -210,6 +210,22 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_G(0, 5)
 
+    @pytest.mark.parametrize(
+        "build, method",
+        [
+            (build_G, None),
+            (build_H, CLOSED_FORM),
+            (build_H, FUNCTIONAL),
+            (build_R, CLOSED_FORM),
+            (build_R, FUNCTIONAL),
+            (build_C, None),
+        ],
+    )
+    def test_negative_order(self, build, method):
+        args = (3, -1) if method is None else (3, -1, method)
+        with pytest.raises(ValueError, match="^order must be at least 0$"):
+            build(*args)
+
 
 class TestBuildCost:
     """The closed forms walk subsets depth first; no product is rebuilt."""
