@@ -7,15 +7,13 @@ from .model import (
     TowerShape,
     classify,
     dissect,
-    is_convex,
     is_supporting,
     recombine,
     validate,
 )
-from .enumerator import CapExceeded, census, enumerate_towers
-from .recurrences import UnsupportedK, c, family_value, g, h, r, table
+from .enumerator import census, enumerate_towers
+from .recurrences import c, family_value, g, h, r, table
 from .series import (
-    SubsetBlowup,
     TruncatedSeries,
     build_C,
     build_G,
@@ -24,7 +22,6 @@ from .series import (
 )
 from .asymptotics import (
     ConvergenceReport,
-    UnsupportedB,
     approx_theta,
     convergence_report,
     denominator_derivative_at_half,

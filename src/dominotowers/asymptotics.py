@@ -35,13 +35,9 @@ from . import recurrences
 ESTIMATE_CONSTANT = Fraction(346, 100)
 
 
-class UnsupportedB(ValueError):
-    """theta is defined here for b >= 2 only; b=1 is the plain 2^n - 1 family."""
-
-
 def _check_b(b: int) -> None:
-    if b < 2:
-        raise UnsupportedB("asymptotic factor requires b >= 2")
+    if b < 2:  # b = 1 is the plain 2^n - 1 family
+        raise ValueError("asymptotic factor requires b >= 2")
 
 
 def theta_exact(b: int) -> Fraction:

@@ -50,10 +50,6 @@ DEFAULT_HARD_CAP = 12
 ORIGIN = -DEFAULT_HARD_CAP  # the mask column of bit 0; every level lies right of it
 
 
-class CapExceeded(ValueError):
-    """Requested size is above the enumeration cap."""
-
-
 @cache
 def _level_sets(
     below: tuple[int, ...], max_size: int
@@ -101,7 +97,7 @@ def _bases(n: int, b: int | None) -> range:
     if b is not None and b > n:
         raise ValueError("b must not exceed n")
     if n > DEFAULT_HARD_CAP:
-        raise CapExceeded(f"n={n} exceeds the enumeration cap {DEFAULT_HARD_CAP}")
+        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_HARD_CAP}")
     return range(1, n + 1) if b is None else range(b, b + 1)
 
 

@@ -100,16 +100,8 @@ class TowerShape:
 
     @cached_property
     def convex(self) -> bool:
-        """Row and column convexity, computed once per shape."""
+        """Row and column convexity of the occupied cells, computed once per shape."""
         return _convex(self.levels)
-
-    @property
-    def height(self) -> int:
-        return len(self.levels)
-
-    @property
-    def base_b(self) -> int:
-        return len(self.levels[0])
 
     @property
     def max_row_b(self) -> int:
@@ -118,11 +110,6 @@ class TowerShape:
     @property
     def top_row_b(self) -> int:
         return len(self.levels[-1])
-
-    def row_span(self, level: int) -> tuple[int, int]:
-        """Lowest and highest occupied cell x on a level (inclusive)."""
-        row = self.levels[level]
-        return (row[0], row[-1] + 1)
 
     def mirror(self) -> "TowerShape":
         """Reflection across a vertical axis, re-canonicalized."""
@@ -158,7 +145,7 @@ def validate(shape: TowerShape) -> bool:
     return True
 
 
-def _convex_row(seen: int, below: int, row: tuple[int, ...], shift: int = 0):
+def _convex_row(seen: int, below: int, row: tuple[int, ...], shift: int):
     """One level of the convexity test: ``(seen, mask)``, or None if broken.
 
     Bit i is column shift + i; ``seen`` holds every column occupied so far.
@@ -211,11 +198,6 @@ def _supporting(steps: list[tuple[int, int]]) -> bool:
     return all(right in (0, 1) and left == -right for left, right in steps)
 
 
-def is_convex(shape: TowerShape) -> bool:
-    """Row convexity and column convexity of the occupied cells."""
-    return shape.convex
-
-
 def is_supporting(shape: TowerShape) -> bool:
     """Shape that can sit under a convex tower whose widest row is one longer.
 
@@ -262,7 +244,6 @@ class Dissection:
 
     lower: TowerShape | None
     upper: TowerShape
-    split_level: int
 
 
 def dissect(shape: TowerShape) -> Dissection:
@@ -275,8 +256,8 @@ def dissect(shape: TowerShape) -> Dissection:
     level = next(y for y, row in enumerate(levels) if len(row) == widest)
     upper = TowerShape.from_levels(levels[level:])
     if level == 0:
-        return Dissection(None, upper, 0)
-    return Dissection(TowerShape.from_levels(levels[:level]), upper, level)
+        return Dissection(None, upper)
+    return Dissection(TowerShape.from_levels(levels[:level]), upper)
 
 
 def recombine(dissection: Dissection) -> TowerShape:
@@ -284,7 +265,6 @@ def recombine(dissection: Dissection) -> TowerShape:
     upper = dissection.upper
     if lower is None:
         return upper
-    top_lo, _ = lower.row_span(lower.height - 1)
-    dx = (top_lo - 1) - upper.row_span(0)[0]
+    dx = lower.levels[-1][0] - 1 - upper.levels[0][0]
     placed = tuple(tuple(x + dx for x in row) for row in upper.levels)
     return TowerShape.from_levels(lower.levels + placed)

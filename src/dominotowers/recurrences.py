@@ -43,10 +43,6 @@ import math
 FAMILIES = ("g", "h", "r", "c")
 
 
-class UnsupportedK(ValueError):
-    """Block length below 2 has no tower interpretation here."""
-
-
 class CountTable:
     """Memo table for one (family, k) whose rows only ever grow in n.
 
@@ -59,7 +55,7 @@ class CountTable:
         if family not in ("g", "h", "r"):
             raise ValueError(f"unknown family {family!r}")
         if k < 2:
-            raise UnsupportedK(f"block length k={k} is not supported")
+            raise ValueError(f"block length k={k} is not supported")
         self.family = family
         self.k = k
         self._offset = {"g": -1, "h": 0, "r": 1}[family]
@@ -178,7 +174,7 @@ def family_value(family: str, b: int, n: int, k: int = 2) -> int:
 
 def _require_dominoes(k: int) -> None:
     if k != 2:
-        raise UnsupportedK("the convex family is only defined for k=2")
+        raise ValueError("the convex family is only defined for k=2")
 
 
 def rows(family: str, max_b: int, max_n: int, k: int = 2) -> list[list[int]]:

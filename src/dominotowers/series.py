@@ -27,10 +27,6 @@ _METHODS = (CLOSED_FORM, FUNCTIONAL)
 MAX_CLOSED_FORM_B = 12
 
 
-class SubsetBlowup(ValueError):
-    """Closed-form subset enumeration requested beyond the practical cutoff."""
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Coefficients 0..order of a formal power series."""
@@ -76,7 +72,7 @@ def _check(b: int, order: int, method: str = FUNCTIONAL) -> None:
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
     if method == CLOSED_FORM and b > MAX_CLOSED_FORM_B:
-        raise SubsetBlowup(
+        raise ValueError(
             f"closed form enumerates 2^{b - 1} subsets; limit is b={MAX_CLOSED_FORM_B}"
         )
 

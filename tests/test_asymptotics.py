@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dominotowers.asymptotics import (
-    UnsupportedB,
     approx_theta,
     convergence_report,
     decimal_digits,
@@ -92,9 +91,9 @@ class TestThetaExact:
         ]
 
     def test_rejects_base_one(self):
-        with pytest.raises(UnsupportedB):
+        with pytest.raises(ValueError, match="asymptotic factor requires b >= 2"):
             theta_exact(1)
-        with pytest.raises(UnsupportedB):
+        with pytest.raises(ValueError, match="asymptotic factor requires b >= 2"):
             theta_from_parts(1)
 
     @pytest.mark.parametrize("b", [*range(2, 65), 100, 128])
@@ -216,7 +215,7 @@ class TestConvergence:
         assert abs(growth - 2) < Fraction(1, 10 ** 4)
 
     def test_validation(self):
-        with pytest.raises(UnsupportedB):
+        with pytest.raises(ValueError, match="asymptotic factor requires b >= 2"):
             convergence_report(1, 10)
         with pytest.raises(ValueError):
             convergence_report(3, 2)

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from dominotowers import cli, model, recurrences
+from dominotowers import (
+    asymptotics, cli, enumerator, model, oeis, recurrences, render, series,
+)
 from dominotowers.cli import build_parser, main
 import references
 
@@ -560,6 +562,30 @@ class TestOeisCheck:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "sequence_id, family, expected",
+        [
+            (
+                "A000001", "h",
+                (0, "A000001 as h (rows b=1..n): 60/60 terms match\n", ""),
+            ),
+            (
+                "A275204", "r",
+                (1, "", "error: could not align A275204 with any r ordering; "
+                 "best candidate 'rows b=1..n-1' matches only 1 opening terms\n"),
+            ),
+        ],
+    )
+    def test_family_names_the_generator(
+        self, capsys, tmp_path, sequence_id, family, expected
+    ):
+        # rows n = 1..10 of the reference stack triangle, then h(1..5, 11)
+        terms = references.flatten_triangle("stack_counts.csv") + (1, 15, 66, 143, 178)
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("".join(f"{i} {v}\n" for i, v in enumerate(terms, start=1)))
+        argv = ("oeis-check", sequence_id, "--family", family, "--bfile", str(bfile))
+        assert run(capsys, *argv) == expected
+
     def test_non_utf8_bfile_exits_three(self, capsys, tmp_path):
         bfile = tmp_path / "A275662.txt"
         bfile.write_bytes(b"1 1\n2 \xff\n")
@@ -793,6 +819,21 @@ class TestExitCodes:
     )
     def test_enumerate_checks(self, capsys, argv, message):
         assert run(capsys, "enumerate", *argv) == (2, "", f"error: {message}\n")
+
+    def test_only_the_bfile_errors_have_their_own_type(self):
+        # every other bad argument is a plain ValueError, which main maps to 2
+        modules = (
+            model, enumerator, recurrences, series, asymptotics, oeis, render, cli
+        )
+        defined = {
+            obj
+            for module in modules
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        }
+        assert defined == {oeis.BFileError, oeis.AlignmentError}
 
 
 class TestBenchHooks:

@@ -7,7 +7,6 @@ import pytest
 
 from dominotowers import enumerator, recurrences
 from dominotowers.enumerator import (
-    CapExceeded,
     census,
     enumerate_towers,
     tower_lines,
@@ -17,7 +16,6 @@ from dominotowers.model import (
     TowerClass,
     TowerShape,
     classify,
-    is_convex,
     is_supporting,
 )
 from references import gapfree_partition_census, partitions
@@ -94,7 +92,7 @@ class TestEnumerate:
         ]
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(ValueError, match="n=13 exceeds the enumeration cap 12"):
             towers(13)
 
     def test_request_validation(self):
@@ -116,14 +114,14 @@ class TestEnumerate:
 
 
 class TestConvexFlag:
-    """The convexity state carried down the walk against ``is_convex``."""
+    """The convexity state carried down the walk against ``TowerShape.convex``."""
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_flag_equals_is_convex(self, n):
         leftward = {True: 0, False: 0}
         for b in range(1, n + 1):
             for levels, convex in walk(n, b):
-                assert convex == is_convex(TowerShape.from_levels(levels)), levels
+                assert convex == TowerShape.from_levels(levels).convex, levels
                 # a level left of the base (x < 0) sets mask bits below
                 # the base's
                 if any(row[0] < 0 for row in levels):
@@ -214,7 +212,8 @@ class TestTowerLines:
                 next(items)
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
-        assert (raised[0][0] is CapExceeded) == (n == 13 and b is None)
+        capped = raised[0][1] == "n=13 exceeds the enumeration cap 12"
+        assert capped == (n == 13 and b is None)
 
 
 class TestCensus:
@@ -267,7 +266,7 @@ class TestCensus:
 
         monkeypatch.setattr(enumerator, "classify", recording)
         census(6)
-        assert classified == [t for t in towers(6) if is_convex(t)]
+        assert classified == [t for t in towers(6) if t.convex]
 
     def test_mirror_counts_equal_through_n8(self):
         counts = census(8)

@@ -10,7 +10,6 @@ from dominotowers.model import (
     TowerShape,
     classify,
     dissect,
-    is_convex,
     is_supporting,
     recombine,
     validate,
@@ -62,7 +61,7 @@ Spans = list[tuple[int, int]]
 
 
 def _profile(levels):
-    """Row spans (as ``row_span``) and domino counts, bottom to top."""
+    """Row spans and domino counts, bottom to top."""
     return [(row[0], row[-1] + 1) for row in levels], [len(row) for row in levels]
 
 
@@ -115,7 +114,7 @@ def reference_is_supporting(shape: TowerShape) -> bool:
 
 
 def reference_classify(shape: TowerShape) -> TowerClass:
-    if not is_convex(shape):
+    if not shape.convex:
         return TowerClass.NON_CONVEX
     spans, lengths = _profile(shape.levels)
     if _on_base(spans):
@@ -204,7 +203,7 @@ class TestValidate:
         positions = [(x, y) for y in range(2) for x in range(5)]
         for a, b in itertools.combinations(positions, 2):
             s = TowerShape.from_dominoes([a, b])
-            if validate(s) and s.base_b == 1:
+            if validate(s) and len(s.levels[0]) == 1:
                 found.add(s)
         assert len(found) == 3
 
@@ -262,25 +261,25 @@ class TestValidateAgainstSetReference:
 class TestConvexity:
     def test_single_level_always_convex(self):
         for b in range(1, 6):
-            assert is_convex(shape(*[(2 * i, 0) for i in range(b)]))
+            assert shape(*[(2 * i, 0) for i in range(b)]).convex
 
     def test_large_example_is_convex(self):
         t = CONVEX_18_4
         assert validate(t)
-        assert is_convex(t)
+        assert t.convex
         assert t.n == 18
         assert t.max_row_b == 4
 
     def test_gapped_row_not_convex(self):
         t = shape((0, 0), (2, 0), (4, 0), (6, 0), (0, 1), (5, 1))
         assert validate(t)
-        assert not is_convex(t)
+        assert not t.convex
 
     def test_column_gap_not_convex(self):
         # single-domino levels wiggling right then left leave a column gap
         t = shape((0, 0), (1, 1), (0, 2))
         assert validate(t)
-        assert not is_convex(t)
+        assert not t.convex
 
 
 class TestEmptyLevel:
@@ -300,7 +299,7 @@ class TestEmptyLevel:
 
     @pytest.mark.parametrize(
         "predicate",
-        [is_convex, is_supporting],
+        [lambda t: t.convex, is_supporting],
     )
     def test_predicate_is_false(self, predicate):
         for t in self.SHAPES:
@@ -348,21 +347,21 @@ class TestClassify:
         assert not is_supporting(shifted)
 
     def test_exactly_one_label_per_shape(self):
-        # the non-convex label is exactly is_convex failing, and a supporting
+        # the non-convex label is exactly convexity failing, and a supporting
         # label only goes to shapes that is_supporting accepts
         for n in range(1, 7):
             for t in all_towers(n):
                 label = classify(t)
-                assert (label is TowerClass.NON_CONVEX) == (not is_convex(t))
+                assert (label is TowerClass.NON_CONVEX) == (not t.convex)
                 if label is TowerClass.SUPPORTING:
                     assert is_supporting(t)
 
     def test_columns_on_base_means_stack(self):
         for n in range(1, 7):
             for t in all_towers(n):
-                if not is_convex(t):
+                if not t.convex:
                     continue
-                lo, hi = t.row_span(0)
+                lo, hi = t.levels[0][0], t.levels[0][-1] + 1
                 on_base = all(
                     lo <= x <= hi for x, _ in t.cells
                 )
@@ -393,16 +392,16 @@ class TestDissection:
     def test_height_one_bar(self):
         t = shape((0, 0), (2, 0))
         d = dissect(t)
-        assert d == Dissection(None, t, 0)
+        assert d == Dissection(None, t)
         assert recombine(d) == t
 
     def test_large_example_split(self):
         d = dissect(CONVEX_18_4)
-        assert d.split_level == 4
+        assert len(d.lower.levels) == 4
         assert d.lower.n == 8
         assert [len(row) for row in d.lower.levels] == [1, 2, 2, 3]
         assert d.upper.n == 10
-        assert d.upper.base_b == 4
+        assert len(d.upper.levels[0]) == 4
         assert classify(d.upper) is TowerClass.STACK
         assert recombine(d) == CONVEX_18_4
 
@@ -415,7 +414,7 @@ class TestDissection:
         for n in range(1, 7):
             seen = {}
             for t in all_towers(n):
-                if not is_convex(t):
+                if not t.convex:
                     continue
                 d = dissect(t)
                 assert recombine(d) == t
@@ -427,7 +426,6 @@ class TestDissection:
                 if d.lower is not None:
                     assert is_supporting(d.lower)
                     assert d.lower.top_row_b == t.max_row_b - 1
-                    assert d.lower.height == d.split_level
                 key = (d.lower, d.upper)
                 assert key not in seen, "dissection must be injective"
                 seen[key] = t

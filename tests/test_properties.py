@@ -1,7 +1,7 @@
 """Properties of the shape model over towers drawn level by level.
 
 The towers reach n = 30 blocks, past the enumeration cap, so these cover
-shapes the exhaustive tests never see.  ``str`` and ``is_convex`` are also
+shapes the exhaustive tests never see.  ``str`` and ``TowerShape.convex`` are also
 compared with per-cell references over arbitrary level tuples, valid or not.
 Settings are derandomized, so every run draws the same examples.
 """
@@ -15,7 +15,6 @@ from dominotowers.model import (
     TowerShape,
     classify,
     dissect,
-    is_convex,
     recombine,
     validate,
 )
@@ -97,7 +96,7 @@ def test_mirror_is_an_involution(t):
 @SETTINGS
 @given(convex_towers())
 def test_dissect_then_recombine_is_identity(t):
-    assert is_convex(t)
+    assert t.convex
     assert recombine(dissect(t)) == t
 
 
@@ -130,7 +129,7 @@ def test_validate_and_convexity_ignore_translation(pairs, dx, dy):
     shape = TowerShape.from_dominoes(pairs)
     moved = TowerShape.from_dominoes((x + dx, y + dy) for x, y in pairs)
     assert validate(moved) == validate(shape)
-    assert is_convex(moved) == is_convex(shape)
+    assert moved.convex == shape.convex
 
 
 @SETTINGS
@@ -200,7 +199,7 @@ def test_str_lists_the_sorted_cells(t):
 @settings(SETTINGS, max_examples=200)
 @given(any_levels)
 def test_is_convex_matches_the_per_cell_reference(t):
-    assert is_convex(t) == is_convex_reference(t)
+    assert t.convex == is_convex_reference(t)
 
 
 def test_is_convex_matches_the_reference_on_every_short_stack():
@@ -210,4 +209,4 @@ def test_is_convex_matches_the_reference_on_every_short_stack():
     for height in (1, 2, 3):
         for levels in itertools.product(rows, repeat=height):
             t = TowerShape(levels)
-            assert is_convex(t) == is_convex_reference(t), levels
+            assert t.convex == is_convex_reference(t), levels

@@ -18,7 +18,6 @@ import pytest
 from dominotowers import recurrences
 from dominotowers.recurrences import (
     CountTable,
-    UnsupportedK,
     c,
     family_value,
     g,
@@ -176,11 +175,12 @@ class TestGeneralizedBlockLength:
                 assert family_value("r", b, b + 1, k) == k - 1
 
     def test_k_validation(self):
-        with pytest.raises(UnsupportedK):
+        with pytest.raises(ValueError, match="block length k=1 is not supported"):
             family_value("g", 2, 2, 1)
-        with pytest.raises(UnsupportedK):
+        with pytest.raises(ValueError, match="block length k=0 is not supported"):
             CountTable("h", k=0)
-        with pytest.raises(UnsupportedK):
+        message = "the convex family is only defined for k=2"
+        with pytest.raises(ValueError, match=message):
             family_value("c", 2, 3, k=3)
 
 
