@@ -11,6 +11,11 @@ The stream order is deterministic: bases ascend, and level sets are visited
 in lexicographic order of their position tuples, depth first.  As no tower
 is a prefix of another, each (n, b) stream is strictly increasing as tuples
 of base-anchored levels; ``verify`` checks this instead of storing towers.
+Each walk is one loop over an explicit stack, as in Redelmeier's polyomino
+counter: a frame holds an open node's iterator over its untried level sets
+and its state.  A child with blocks left is pushed and walked before its
+next sibling is drawn, so the loop keeps a recursion's depth-first order
+without a generator frame per level, and a leaf is yielded in place.
 
 Coordinates are base-anchored: the base's dominoes sit at x = 0, 2, ...,
 2b - 2 for the whole walk, and higher levels may reach left of it, down to
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from operator import itemgetter
 from typing import Iterator
 
 from .model import Levels, TowerClass, TowerShape, _convex_row, classify
@@ -78,14 +84,23 @@ def _level_sets(
 
 
 def _grow(levels: Levels, masks, remaining: int) -> Iterator[tuple[Levels, bool]]:
-    # masks: the levels' (seen, below) column masks, None once non-convex
-    for chosen, left in _level_sets(levels[-1], remaining):
-        grown = levels + (chosen,)
-        state = masks and _convex_row(*masks, chosen, ORIGIN)
-        if left:
-            yield from _grow(grown, state, left)
-        else:  # a finished leaf: no frame to open
+    # masks: the levels' (seen, below) column masks, None once non-convex.
+    # A frame is an open node's untried children, levels and masks.  The
+    # break walks a pushed child before the next sibling is drawn, and the
+    # parent's iterator resumes after it, so children keep ``_level_sets``
+    # order and the stream stays depth first.
+    stack = [(iter(_level_sets(levels[-1], remaining)), levels, masks)]
+    while stack:
+        children, levels, masks = stack[-1]
+        for chosen, left in children:
+            grown = levels + (chosen,)
+            state = masks and _convex_row(*masks, chosen, ORIGIN)
+            if left:
+                stack.append((iter(_level_sets(chosen, left)), grown, state))
+                break
             yield grown, state is not None
+        else:
+            stack.pop()
 
 
 def _bases(n: int, b: int | None) -> range:
@@ -144,21 +159,26 @@ def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
     """``str(shape)`` for each shape of ``enumerate_towers(n, b)``, in order."""
     bases = _bases(n, b)  # checked before the tables are built
     tables = _texts(n)
-
-    def grow(row: tuple[int, ...], y: int, keys: list[int], remaining: int):
-        for chosen, left in _level_sets(row, remaining):
-            grown = [*keys, *_level_keys(chosen, y, n)]
-            grown.sort()
-            if left:
-                yield from grow(chosen, y + 1, grown, left)
-            else:  # the smallest key is in the leftmost column
-                yield " ".join(map(tables[grown[0] // n].__getitem__, grown))
-
     for base_b in bases:
+        base = tuple(range(0, 2 * base_b, 2))
         keys = [(x + n) * n for x in range(2 * base_b)]
-        if base_b == n:  # a bare base; grow yields nothing with no block left
-            yield " ".join(map(tables[n].__getitem__, keys))
-        yield from grow(tuple(range(0, 2 * base_b, 2)), 1, keys, n - base_b)
+        if base_b == n:  # a bare base; the walk yields nothing with no block left
+            yield " ".join(itemgetter(*keys)(tables[n]))
+        # _grow's stack walk, each frame carrying its level's y and the keys
+        stack = [(iter(_level_sets(base, n - base_b)), 1, keys)]
+        while stack:
+            children, y, keys = stack[-1]
+            for chosen, left in children:
+                grown = [*keys, *_level_keys(chosen, y, n)]
+                grown.sort()
+                if left:
+                    stack.append((iter(_level_sets(chosen, left)), y + 1, grown))
+                    break
+                # the smallest key is in the leftmost column; a tower has
+                # at least two keys, so itemgetter gives a tuple, not an item
+                yield " ".join(itemgetter(*grown)(tables[grown[0] // n]))
+            else:
+                stack.pop()
 
 
 def census(n: int) -> Counter[tuple[int, int, TowerClass]]:

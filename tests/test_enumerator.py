@@ -1,5 +1,6 @@
 """Brute-force generation against every independent count we know."""
 
+import hashlib
 from itertools import combinations
 from math import comb
 
@@ -90,6 +91,16 @@ class TestEnumerate:
             "0,0 1,0 1,1 2,1",
             "0,0 1,0 2,0 3,0",
         ]
+
+    def test_walk_stream_digest(self):
+        # every (levels, convex) pair of walk(9) in stream order, one repr a
+        # line; the shapes and text built from it cannot hide a reordering
+        digest = hashlib.sha256()
+        for item in walk(9):
+            digest.update(repr(item).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "b39a67fecc44c96a46a427711efa125909a6f53090f6438378c036ee7313c2e8"
+        )
 
     def test_cap(self):
         with pytest.raises(ValueError, match="n=13 exceeds the enumeration cap 12"):
