@@ -17,6 +17,7 @@ import os
 import sys
 from collections import Counter
 from functools import cache
+from itertools import chain
 from math import comb
 from pathlib import Path
 
@@ -249,7 +250,8 @@ def cmd_series(args) -> int:
         "c": lambda: series.build_C(args.b, args.order),
     }
     coeffs = builders[args.family]().coeffs
-    sys.stdout.write("".join(f"{n} {coeff}\n" for n, coeff in enumerate(coeffs)))
+    pairs = tuple(chain.from_iterable(enumerate(coeffs)))
+    sys.stdout.write("%d %d\n" * len(coeffs) % pairs)
     return 0
 
 

@@ -3,22 +3,26 @@
 Every generating function used here is a sum of products of geometric
 factors x^a / (1 - lam*x^a) with lam in {1, 2}.  Multiplying by one is the
 O(N) filter out[n] = s[n-a] + lam*out[n-a] (`_filter`), the only product:
-nothing needs rational coefficients or polynomial division.
+nothing needs rational coefficients or polynomial division.  At lam = 1 it
+is a running sum along each residue class mod a, run in C as one
+`accumulate` per class or one `map(add)` per block of a coefficients.
 
 The builders run on plain coefficient lists, one fused pass per filter input
 and per running-sum update, and wrap the result in a `TruncatedSeries` once.
 Each family has two routes.  The closed form sums over subsets of {1..b-1}
 walked depth first: a child extends its parent's product by one weighted
 filter and each subset adds its own term (practical up to b = 12).  The
-functional equation runs on running sums, a constant number of filters per
-base; it is the production route, and the closed forms cross-check it.  It
-keeps the paper's sums over smaller bases on purpose: the `recurrences` tables
-grow by diagonal differences, so the two routes share no formulation.
+functional equation carries running sums, three passes per stack base; it is
+the production route, and the closed forms cross-check it.  It keeps the
+paper's sums over smaller bases on purpose: the `recurrences` tables grow by
+diagonal differences, so the two routes share no formulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 CLOSED_FORM = "closed-form"
 FUNCTIONAL = "functional"
@@ -56,11 +60,19 @@ class TruncatedSeries:
 
 
 def _filter(a: int, lam: int, coeffs) -> list[int]:
-    """coeffs times x^a / (1 - lam*x^a): shift by a, then out[n] += lam*out[n-a]."""
+    """coeffs times x^a / (1 - lam*x^a): shift by a, then out[n] += lam*out[n-a],
+    at lam = 1 as running sums per class (if a*a < len) or per block of a."""
     out = [0] * min(a, len(coeffs))
     out += coeffs[: len(coeffs) - len(out)]
-    for n in range(2 * a, len(out)):
-        out[n] += lam * out[n - a]
+    if lam != 1:
+        for n in range(2 * a, len(out)):
+            out[n] += lam * out[n - a]
+    elif a * a < len(out):
+        for r in range(a, 2 * a):
+            out[r::a] = accumulate(out[r::a])
+    else:
+        for n in range(2 * a, len(out), a):
+            out[n : n + a] = map(add, out[n : n + a], out[n - a : n])
     return out
 
 
@@ -117,27 +129,23 @@ def _closed_H(b: int, order: int) -> list[int]:
 
 
 def _stacks(b: int, order: int):
-    """Yield H_1..H_b from H_i = x^i/(1-x^i) * (1 + sum_{j<i} (2(i-j)+1) H_j).
-
-    The inner sum is (2i+1)*sum H_j - 2*sum j*H_j, kept as two running sums.
-    """
-    sum_h = sum_jh = [0] * (order + 1)
+    """Yield H_1..H_b from H_i = x^i/(1-x^i) * T_i, T_i = 1 + sum_{j<i} (2(i-j)+1) H_j,
+    carried as T_{i+1} = T_i + 2U_{i+1} + H_i with U_{i+1} = U_i + H_i, U_1 = 0."""
+    total, below = [1] + [0] * order, [0] * (order + 1)
     for i in range(1, b + 1):
-        c = 2 * i + 1
-        term = [c * s - 2 * t for s, t in zip(sum_h, sum_jh)]
-        term[0] += 1
-        h = _filter(i, 1, term)
+        h = _filter(i, 1, total)
         yield h
-        sum_h = [s + v for s, v in zip(sum_h, h)]
-        sum_jh = [t + i * v for t, v in zip(sum_jh, h)]
+        below = [u + v for u, v in zip(below, h)]
+        total = [t + 2 * u + v for t, u, v in zip(total, below, h)]
 
 
 def _stack_and_skew(b: int, order: int) -> tuple[list[int], list[int]]:
-    """(H_b, R_b) from R_i = x^i/(1-2x^i) * (H_i + sum_{j<i} (2R_j + H_j))."""
-    sum_rh = [0] * (order + 1)
+    """(H_b, R_b) from R_i = x^i/(1-2x^i) * (H_i + S_i), S_i = sum_{j<i} (2R_j + H_j),
+    carrying the filter input: H_{i+1} + S_{i+1} = H_{i+1} + (H_i + S_i) + 2R_i."""
+    given = r = [0] * (order + 1)
     for i, h in enumerate(_stacks(b, order), start=1):
-        r = _filter(i, 2, [v + s for v, s in zip(h, sum_rh)])
-        sum_rh = [s + 2 * x + v for s, x, v in zip(sum_rh, r, h)]
+        given = [v + g + 2 * x for v, g, x in zip(h, given, r)]
+        r = _filter(i, 2, given)
     return h, r
 
 

@@ -453,9 +453,14 @@ class TestSeries:
              "8b9db214d7e20a124a23de03c616a3e5b5647499f8e0ad7338de4c04ed513d32"),
             (["r", "--b", "1", "--order", "0"],
              "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101"),
+            # a*a >= order for many of their filters: the block form
+            (["g", "--b", "300", "--order", "400"],
+             "312f0093ec2b470ccad611e7da5cfaaaf571ab59d164c3edfba1deff5be76e42"),
+            (["h", "--b", "64", "--order", "1000"],
+             "246e63727a3e5f70f486efb391ee58572c873f60a3ac45da3fba8584ed0e2747"),
         ],
         ids=["c-b8-o2048", "g-b10-o600", "h-b12-o48-closed", "r-b9-o24-closed",
-             "r-b1-o0"],
+             "r-b1-o0", "g-b300-o400", "h-b64-o1000"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         # byte pins past the golden files' sizes, both methods, the empty tail

@@ -129,6 +129,17 @@ class TestGeometricFactor:
                     s = random_coeffs(rng, order)
                     assert tuple(_filter(a, lam, s)) == naive_apply(a, lam, s)
 
+    @pytest.mark.parametrize("a", range(1, 13))
+    def test_apply_across_forms(self, a):
+        # a*a < len runs one running sum per class, else one per block; the
+        # lengths straddle that switch, the last partial block and len < a
+        rng = random.Random(a)
+        lengths = {1, 2, a - 1, a, a * a - 1, a * a, a * a + 1, 3 * a, 3 * a + 1}
+        for length in sorted(n for n in lengths if n >= 1):
+            for lam in (1, 2, 3):
+                s = random_coeffs(rng, length - 1)
+                assert tuple(_filter(a, lam, s)) == naive_apply(a, lam, s)
+
 
 class TestBuilders:
     def test_supporting_series_base_one_is_zero(self):
@@ -183,6 +194,14 @@ class TestBuilders:
                 assert hs.coefficient(n) == recurrences.h(b, n)
                 assert rs.coefficient(n) == recurrences.r(b, n)
                 assert cs.coefficient(n) == recurrences.c(b, n)
+
+    @pytest.mark.parametrize("b", [12, 20, 40])
+    def test_large_bases_match_recurrences(self, b):
+        # b >= order, so every lam = 1 filter with a > 6 runs block by block
+        builders = {"g": build_G, "h": build_H, "r": build_R, "c": build_C}
+        for family, build in builders.items():
+            expected = tuple(recurrences.family_value(family, b, n) for n in range(41))
+            assert build(b, 40).coeffs == expected
 
     def test_truncation_consistency(self):
         for b in (1, 2, 4):
