@@ -13,21 +13,24 @@ Shapes are fixed polyominoes: translations are identified by storing every
 shape in canonical position (minimum cell x and minimum level both 0), while
 rotations and reflections stay distinct.
 
-Classification vocabulary, read from the (left, right) edge moves of each
-level against the level below, in cells, positive to the right:
+Classification vocabulary.  A convex tower splits at its lowest widest row
+into a supporting part below and a stack or skewed tower above (``dissect``),
+so stacks and skewed towers are the convex towers whose base is a widest row:
 
 * stack        - convex, and every row lies within the base row's span.
-* right-skewed - convex; the right edge moves 0 or 1 per level and no row is
-                 wider than the one below, until a move of 1 after which
-                 every row is nested in the one below (left >= 0, right <= 0):
-                 a right-overhanging stack on top.  Rectangles are excluded:
-                 at least one column must lie right of the base.
-* left-skewed  - mirror image of right-skewed: the same test on (-right, -left).
+* right-skewed - convex, not a stack, the base a widest row, and some cell
+                 lies right of the base.  Rectangles are stacks, never skewed.
+* left-skewed  - the same with some cell left of the base: the mirror image.
 * supporting   - the part of a convex tower strictly below its lowest widest
                  row.  The edges move by (0, 0) or (-1, +1) per level: rows of
                  equal length are exactly aligned, a one-longer row overhangs
                  one cell on each side (both placements are forced by the
                  support rule plus convexity of the surrounding tower).
+
+The paper's construction rule for skewed towers (a stack overhanging its
+base's right end by one cell, or a skewed tower whose base's right edge
+advances by 0 or 1) is kept in the tests as the reference ``classify`` is
+compared against.
 """
 
 from __future__ import annotations
@@ -172,30 +175,10 @@ def _convex(levels: Levels) -> bool:
     return True
 
 
-def _steps(levels: Levels) -> list[tuple[int, int]]:
-    """(left, right) edge moves from each non-empty level to the next."""
-    return [(up[0] - row[0], up[-1] - row[-1]) for row, up in zip(levels, levels[1:])]
-
-
-def _right_skewed(steps: list[tuple[int, int]]) -> bool:
-    # Mirrors the recursive construction: above each row sits either a stack
-    # whose base overhangs right by one cell, or another skewed tower whose
-    # base's right edge advances by 0 or 1.  The sub-base is never wider.
-    # A later move of 1 restarts the top stack: in a convex tower the right
-    # edge never moves right after moving left, so the nested steps skipped
-    # before it kept the right edge and were skew steps too.
-    top = False
-    for left, right in steps:
-        if top and left >= 0 and right <= 0:
-            continue
-        if left < right or right not in (0, 1):
-            return False
-        top = right == 1
-    return top
-
-
-def _supporting(steps: list[tuple[int, int]]) -> bool:
-    return all(right in (0, 1) and left == -right for left, right in steps)
+def _supporting(levels: Levels) -> bool:
+    return all(
+        row[0] - up[0] == up[-1] - row[-1] in (0, 1) for row, up in zip(levels, levels[1:])
+    )
 
 
 def is_supporting(shape: TowerShape) -> bool:
@@ -206,15 +189,18 @@ def is_supporting(shape: TowerShape) -> bool:
     cell on each side.  Any other placement of an equal-length row breaks
     convexity once the wider row above is added.
     """
-    return shape.convex and _supporting(_steps(shape.levels))
+    return shape.convex and _supporting(shape.levels)
 
 
 def classify(shape: TowerShape) -> TowerClass:
     """Exclusive label; precedence handles the overlaps.
 
-    A rectangle is a stack, never skewed.  Supporting shapes that are also
-    stacks (all rows equal) or would be caught earlier keep the earlier
-    label; ``is_supporting`` stays available as a standalone predicate.
+    A rectangle is a stack, never skewed.  A skewed shape has a widest row
+    as its base, and no edge moves out by more than one cell per level:
+    support makes that true of every tower, and it keeps the labels of
+    shapes that are not towers.  Supporting shapes that are also stacks (all
+    rows equal) keep the earlier label; ``is_supporting`` stays available as
+    a standalone predicate.
     """
     if not shape.convex:
         return TowerClass.NON_CONVEX
@@ -222,12 +208,13 @@ def classify(shape: TowerShape) -> TowerClass:
     lo, hi = levels[0][0], levels[0][-1]
     if all(row[0] >= lo and row[-1] <= hi for row in levels):
         return TowerClass.STACK
-    steps = _steps(levels)
-    if _right_skewed(steps):
-        return TowerClass.RIGHT_SKEWED
-    if _right_skewed([(-right, -left) for left, right in steps]):
+    if len(levels[0]) == shape.max_row_b and all(
+        up[0] >= row[0] - 1 and up[-1] <= row[-1] + 1 for row, up in zip(levels, levels[1:])
+    ):
+        if any(row[-1] > hi for row in levels):
+            return TowerClass.RIGHT_SKEWED
         return TowerClass.LEFT_SKEWED
-    if _supporting(steps):
+    if _supporting(levels):
         return TowerClass.SUPPORTING
     return TowerClass.CONVEX_OTHER
 

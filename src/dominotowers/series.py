@@ -90,8 +90,14 @@ def _check(b: int, order: int, method: str = FUNCTIONAL) -> None:
 
 
 def _supporting_chain(b: int, s: list[int], total: list[int]) -> list[int]:
-    """total + G_b * s, G_b * s = sum_{i<b} s * prod_{j<=i} x^(b-j)/(1-x^(b-j))."""
+    """total + G_b * s, G_b * s = sum_{i<b} s * prod_{j<=i} x^(b-j)/(1-x^(b-j)).
+
+    Once the shifts sum to len(s) the product is zero and the loop stops."""
+    shift = 0
     for j in range(1, b):
+        shift += b - j
+        if shift >= len(s):
+            break
         s = _filter(b - j, 1, s)
         total = [t + v for t, v in zip(total, s)]
     return total

@@ -14,7 +14,7 @@ from dominotowers.model import (
     recombine,
     validate,
 )
-from dominotowers.enumerator import enumerate_towers
+from dominotowers.enumerator import enumerate_towers, walk
 from references import cell_supported
 
 
@@ -24,6 +24,10 @@ def shape(*pairs):
 
 def all_towers(n, b=None):
     return list(enumerate_towers(n, b))
+
+
+def convex_towers(n):
+    return [TowerShape.from_levels(levels) for levels, convex in walk(n) if convex]
 
 
 # An 18-block convex tower whose widest row has 4 blocks: a supporting
@@ -377,6 +381,15 @@ class TestAgainstSpanReference:
                 checked += 1
         assert checked == 87381
 
+    def test_every_convex_tower_of_ten_and_eleven_blocks(self):
+        # above the full n <= 9 sweep; only convex towers reach the skew test
+        checked = 0
+        for n in (10, 11):
+            for t in convex_towers(n):
+                assert classify(t) is reference_classify(t), t.levels
+                checked += 1
+        assert checked == 5374 + 10912  # sum over b of recurrences.c(b, n)
+
     def test_every_short_stack_of_solid_rows(self):
         # classify is total: shapes that are not towers (unsupported rows,
         # rows jumping a whole domino) get the reference's labels too
@@ -429,6 +442,25 @@ class TestDissection:
                 key = (d.lower, d.upper)
                 assert key not in seen, "dissection must be injective"
                 seen[key] = t
+
+    def test_upper_parts_are_the_towers_on_a_widest_base(self):
+        # stacks and skewed towers are exactly the convex towers with nothing
+        # below their widest row; a skewed one is right-skewed exactly when a
+        # cell lies right of its base, left-skewed when one lies left of it
+        upper_only = (TowerClass.STACK, TowerClass.RIGHT_SKEWED, TowerClass.LEFT_SKEWED)
+        for n in range(1, 10):
+            for t in convex_towers(n):
+                label = classify(t)
+                assert (label in upper_only) == (dissect(t).lower is None), t.levels
+                base = t.levels[0]
+                columns = [x for x, _ in t.cells]
+                if label in upper_only:
+                    assert (label is TowerClass.RIGHT_SKEWED) == (
+                        max(columns) > base[-1] + 1
+                    ), t.levels
+                    assert (label is TowerClass.LEFT_SKEWED) == (
+                        min(columns) < base[0]
+                    ), t.levels
 
     def test_mirror_swaps_skew_classes(self):
         for n in range(1, 7):

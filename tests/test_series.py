@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dominotowers import recurrences
+from dominotowers import recurrences, series
 from dominotowers.series import (
     CLOSED_FORM,
     FUNCTIONAL,
@@ -203,6 +203,13 @@ class TestBuilders:
             expected = tuple(recurrences.family_value(family, b, n) for n in range(41))
             assert build(b, 40).coeffs == expected
 
+    @pytest.mark.parametrize("b", [39, 40, 41])
+    def test_supporting_chain_near_the_order_matches_recurrences(self, b):
+        # the chain stops once its shifts reach len 41: after one filter for
+        # each b here, and for b = 41 that first shift, 40, is one short
+        assert build_G(b, 40).coeffs == tuple(recurrences.g(b, n) for n in range(41))
+        assert build_C(b, 40).coeffs == tuple(recurrences.c(b, n) for n in range(41))
+
     def test_truncation_consistency(self):
         for b in (1, 2, 4):
             for build in (build_G, build_H, build_R, build_C):
@@ -248,9 +255,19 @@ class TestBuilders:
 
 
 class TestBuildCost:
-    """The closed forms walk subsets depth first; no product is rebuilt."""
+    """No product is rebuilt or filtered past the order: the closed forms walk
+    subsets depth first, and the supporting chain stops at the order."""
 
     def test_largest_closed_form_skew(self):
         start = time.process_time()
         build_R(12, 48, CLOSED_FORM)
         assert time.process_time() - start < 0.25
+
+    def test_supporting_chain_stops_past_the_order(self, monkeypatch):
+        # x^(b-1) already lies past order 64, so no filter is run, where a
+        # filter per step would run 4095 of them
+        calls = []
+        real = series._filter
+        monkeypatch.setattr(series, "_filter", lambda *args: calls.append(1) or real(*args))
+        assert build_G(4096, 64).coeffs == (0,) * 65
+        assert not calls
