@@ -12,7 +12,8 @@ D = Q_{b-1}, the same value is
 
     theta_b = 2^((b-1)(b-2)/2) * (D + sum_{i=0..b-2} Q_i) / D^2,
 
-which theta_exact computes in integers with one Fraction at the end.
+which theta_pairs computes in integers, unreduced, for each base up to a
+bound in one pass; theta_exact reduces the last pair to one Fraction.
 theta_from_parts assembles theta_b from three pieces evaluated at 1/2: the
 derivative of the denominator polynomial, the numerator of 2R + H, and the
 numerator of G + 1.  The two routes share no code, and they must agree
@@ -24,6 +25,7 @@ appear only at the display boundary.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -40,15 +42,21 @@ def _check_b(b: int) -> None:
         raise ValueError("asymptotic factor requires b >= 2")
 
 
+def theta_pairs(max_b: int) -> Iterator[tuple[int, int, int]]:
+    """(b, numerator, denominator) of theta_b for b = 2..max_b, unreduced."""
+    prefix, prefix_sum = 1, 0  # Q_(b-1) and Q_0 + ... + Q_(b-2)
+    for b in range(2, max_b + 1):
+        prefix_sum += prefix
+        prefix *= 2 ** (b - 1) - 1
+        yield b, (prefix + prefix_sum) << ((b - 1) * (b - 2) // 2), prefix * prefix
+
+
 def theta_exact(b: int) -> Fraction:
     """Exact sub-exponential factor theta_b."""
     _check_b(b)
-    prefix, prefix_sum = 1, 0  # Q_i and Q_0 + ... + Q_(i-1)
-    for k in range(1, b):
-        prefix_sum += prefix
-        prefix *= 2 ** k - 1
-    numerator = 2 ** ((b - 1) * (b - 2) // 2) * (prefix + prefix_sum)
-    return Fraction(numerator, prefix * prefix)
+    for _, numerator, denominator in theta_pairs(b):
+        pass
+    return Fraction(numerator, denominator)
 
 
 def _prefix_products(b: int) -> list[int]:
@@ -97,23 +105,32 @@ def approx_theta(b: int) -> Fraction:
     return ESTIMATE_CONSTANT * Fraction(1, 2 ** (b - 1))
 
 
-def limit_constant_fraction(terms: int) -> Fraction:
-    """Partial product prod_{k=1..terms} 2^k/(2^k - 1), increasing in terms."""
+def _limit_constant_pair(terms: int) -> tuple[int, int]:
+    """Numerator and denominator of the partial product over ``terms`` factors."""
     if terms < 1:
         raise ValueError("terms must be at least 1")
     denominator = prod(2 ** k - 1 for k in range(1, terms + 1))
-    return Fraction(2 ** (terms * (terms + 1) // 2), denominator)
+    return 2 ** (terms * (terms + 1) // 2), denominator
+
+
+def limit_constant_fraction(terms: int) -> Fraction:
+    """Partial product prod_{k=1..terms} 2^k/(2^k - 1), increasing in terms."""
+    return Fraction(*_limit_constant_pair(terms))
+
+
+def _digits(numerator: int, denominator: int, count: int) -> str:
+    """First ``count`` digits of numerator/denominator (both positive)."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    shift = max(0, count - len(str(numerator // denominator)))
+    return str(numerator * 10 ** shift // denominator).zfill(count)[:count]
 
 
 def decimal_digits(value: Fraction, count: int) -> str:
     """First ``count`` digits of the decimal expansion, integer part included."""
     if value < 0:
         raise ValueError("expected a non-negative value")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    num, den = value.numerator, value.denominator
-    shift = max(0, count - len(str(num // den)))
-    return str(num * 10 ** shift // den).zfill(count)[:count]
+    return _digits(value.numerator, value.denominator, count)
 
 
 def limit_constant_digits(count: int) -> str:
@@ -121,14 +138,14 @@ def limit_constant_digits(count: int) -> str:
 
     The tail beyond ``terms`` factors multiplies the partial product by at
     most 1 + 2^(2-terms), so digits where the lower and upper bounds agree
-    are digits of the limit.
+    are digits of the limit.  Both bounds stay unreduced integer pairs.
     """
     terms = max(64, 4 * count)
     while True:
-        lo = limit_constant_fraction(terms)
-        hi = lo * (1 + Fraction(1, 2 ** (terms - 2)))
-        lo_digits = decimal_digits(lo, count)
-        if lo_digits == decimal_digits(hi, count):
+        numerator, denominator = _limit_constant_pair(terms)
+        lo_digits = _digits(numerator, denominator, count)
+        tail = 2 ** (terms - 2)
+        if lo_digits == _digits(numerator * (tail + 1), denominator * tail, count):
             return lo_digits
         terms *= 2
 

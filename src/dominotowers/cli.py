@@ -31,7 +31,7 @@ from .enumerator import (
 )
 from .model import TowerClass, TowerShape, dissect, recombine
 from .recurrences import FAMILIES
-from .render import FORMATS, count_table_rows, format_fixed, render_table
+from .render import FORMATS, count_table_rows, format_ratio, render_table
 
 ORDER_CAP = 4096  # table bounds, series order and base
 THETA_MAX_B = 128  # bounds the table: 128 bases at 1000 decimals print 383 kB
@@ -112,15 +112,14 @@ def cmd_table(args) -> int:
 
 def theta_table_rows(max_b: int, decimals: int) -> tuple[list[str], list[list[str]]]:
     header = ["row"] + [f"b={b}" for b in range(2, max_b + 1)]
-    thetas = [asymptotics.theta_exact(b) for b in range(2, max_b + 1)]
-    estimates = [asymptotics.approx_theta(b) for b in range(2, max_b + 1)]
-    errors = [abs(t - e) for t, e in zip(thetas, estimates)]
-    rows = [
-        ["theta"] + [format_fixed(v, decimals) for v in thetas],
-        ["estimate"] + [format_fixed(v, decimals) for v in estimates],
-        ["error"] + [format_fixed(v, decimals) for v in errors],
-    ]
-    return header, rows
+    thetas, estimates, errors = ["theta"], ["estimate"], ["error"]
+    for b, num, den in asymptotics.theta_pairs(max_b):
+        e_num, e_den = asymptotics.approx_theta(b).as_integer_ratio()
+        thetas.append(format_ratio(num, den, decimals))
+        estimates.append(format_ratio(e_num, e_den, decimals))
+        error = abs(num * e_den - e_num * den)
+        errors.append(format_ratio(error, den * e_den, decimals))
+    return header, [thetas, estimates, errors]
 
 
 def cmd_theta(args) -> int:

@@ -3,18 +3,19 @@
 A b-file is a text file of ``index value`` lines; ``#`` starts a comment and
 both LF and CRLF are tolerated.  Comparison computes our side of a sequence
 once, up to the b-file's last index or a term cap, whichever is smaller, and
-reads it in each candidate layout: a triangle's rows are computed one at a
-time and every flattening (with and without the diagonal cell, with and
-without leading all-zero rows) is filled from the same row; partition totals
-are read from index 1 and from index 0.  The layout is detected from the
-b-file itself; if no candidate matches the opening terms, the alignment
-failure is reported rather than guessed around.
+reads it in each candidate layout: a triangle's rows come from one read of
+the family's table and every flattening (with and without the diagonal cell,
+with and without leading all-zero rows) is filled from the same rows;
+partition totals are read from index 1 and from index 0.  The layout is
+detected from the b-file itself; if no candidate matches the opening terms,
+the alignment failure is reported rather than guessed around.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from math import isqrt
 from operator import itemgetter
 
 from . import asymptotics, recurrences
@@ -98,11 +99,17 @@ def _readings(family: str, limit: int) -> list[tuple[str, list[int]]]:
         totals = [sum(map(itemgetter(n), rows)) for n in range(1, limit + 1)]
         return [("totals from n=1", totals), ("totals from n=0", [1] + totals[:-1])]
     shift = 1 if family == "g" else 0  # g's column b is largest part b, row b+1
+    # Rows n = 1..size give every reading ``limit`` terms.  A dropped-diagonal
+    # reading holds size(size-1)/2 cells through row size and a kept-diagonal
+    # one size more; skipping leading zero rows can drop row 1 alone, because
+    # row 2's first cell (g(2, 2), h(1, 2), r(1, 2), c(1, 2)) is 1.
+    size = isqrt(2 * limit) + 1
+    if size * (size - 1) // 2 < limit:
+        size += 1
+    rows = recurrences.rows(family, size + shift, size)[shift:]
     terms: list[list[int]] = [[] for _ in _TRIANGLE_READINGS]
-    n = 0
-    while any(len(out) < limit for out in terms):
-        n += 1
-        row = [recurrences.family_value(family, b + shift, n) for b in range(1, n + 1)]
+    for n in range(1, size + 1):
+        row = list(map(itemgetter(n), rows[:n]))
         for (_, drop, skip), out in zip(_TRIANGLE_READINGS, terms):
             cells = row[:-1] if drop else row
             if out or not skip or any(cells):

@@ -13,12 +13,18 @@ FORMATS = ("csv", "tsv", "markdown")
 
 
 def format_fixed(value: Fraction, decimals: int) -> str:
-    """Round half up to ``decimals`` places and render with fixed width."""
+    """Round half away from zero to ``decimals`` places, fixed width."""
+    return format_ratio(value.numerator, value.denominator, decimals)
+
+
+def format_ratio(numerator: int, denominator: int, decimals: int) -> str:
+    """numerator/denominator (denominator > 0, need not be reduced) rounded
+    half away from zero to ``decimals`` places, fixed width."""
     if decimals < 0:
         raise ValueError("decimals must be non-negative")
-    sign = "-" if value < 0 else ""
-    units, rem = divmod(abs(value.numerator) * 10 ** decimals, value.denominator)
-    if 2 * rem >= value.denominator:
+    sign = "-" if numerator < 0 else ""
+    units, rem = divmod(abs(numerator) * 10 ** decimals, denominator)
+    if 2 * rem >= denominator:
         units += 1
     text = str(units).rjust(decimals + 1, "0")
     if decimals == 0:

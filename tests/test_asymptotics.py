@@ -5,9 +5,10 @@ at b=5: the coarse estimate row should hold 3.46/16 = 0.21625 (printed
 0.21675) and the error row 0.00369 (printed 0.00319).  The computation here
 is the honest one; the discrepancy itself is asserted so it stays visible.
 
-The integer kernels (theta_exact, limit_constant_fraction, decimal_digits,
-format_fixed) are also compared with per-factor Fraction and digit-by-digit
-references written out below, one step per factor or digit.
+The integer kernels (theta_pairs, theta_exact, limit_constant_fraction,
+decimal_digits, limit_constant_digits, format_fixed) are also compared with
+per-factor Fraction and digit-by-digit references written out below, one
+step per factor or digit.
 """
 
 import random
@@ -27,8 +28,9 @@ from dominotowers.asymptotics import (
     numerator_hat_at_half,
     theta_exact,
     theta_from_parts,
+    theta_pairs,
 )
-from dominotowers.render import format_fixed
+from dominotowers.render import format_fixed, format_ratio
 import references
 
 
@@ -53,6 +55,17 @@ def reference_limit_product(terms):
     return value
 
 
+def reference_limit_digits(count):
+    """Digits where the Fraction bounds lo and lo * (1 + 2^(2-terms)) agree."""
+    terms = max(64, 4 * count)
+    while True:
+        lo = limit_constant_fraction(terms)
+        hi = lo * (1 + Fraction(1, 2 ** (terms - 2)))
+        if decimal_digits(lo, count) == decimal_digits(hi, count):
+            return decimal_digits(lo, count)
+        terms *= 2
+
+
 def reference_digits(value, count):
     """Long division, one divmod per digit, integer part first."""
     whole, rem = divmod(value.numerator, value.denominator)
@@ -65,7 +78,7 @@ def reference_digits(value, count):
 
 
 def reference_fixed(value, decimals):
-    """Round half up on the scaled Fraction abs(value) * 10^decimals."""
+    """Round half away from zero on the scaled Fraction abs(value) * 10^decimals."""
     sign = "-" if value < 0 else ""
     scaled = abs(value) * 10 ** decimals
     units, rem = divmod(scaled.numerator, scaled.denominator)
@@ -99,6 +112,14 @@ class TestThetaExact:
     @pytest.mark.parametrize("b", [*range(2, 65), 100, 128])
     def test_matches_per_factor_reference(self, b):
         assert theta_exact(b) == reference_theta(b)
+
+
+    def test_pairs_equal_both_routes(self):
+        pairs = list(theta_pairs(60))
+        assert [b for b, _, _ in pairs] == list(range(2, 61))
+        for b, numerator, denominator in pairs:
+            assert Fraction(numerator, denominator) == theta_exact(b)
+            assert Fraction(numerator, denominator) == theta_from_parts(b)
 
 
 class TestAssemblyParts:
@@ -142,6 +163,10 @@ class TestLimitConstant:
     def test_first_digits(self):
         assert limit_constant_digits(10) == "3462746619"
         assert limit_constant_digits(13) == "3462746619455"
+
+    @pytest.mark.parametrize("count", [1, 40, 60, 200])
+    def test_digits_equal_the_fraction_bounds(self, count):
+        assert limit_constant_digits(count) == reference_limit_digits(count)
 
     def test_three_significant_figures(self):
         assert format_fixed(limit_constant_fraction(64), 2) == "3.46"
@@ -229,6 +254,21 @@ class TestFormatFixed:
 
     def test_negative_values(self):
         assert format_fixed(Fraction(-3, 16), 4) == "-0.1875"
+
+    def test_negative_half_rounds_away_from_zero(self):
+        assert format_fixed(Fraction(-1, 8), 2) == "-0.13"
+        assert format_fixed(Fraction(1, 8), 2) == "0.13"
+
+    def test_unreduced_pairs_format_as_their_value(self):
+        rng = random.Random(30)
+        for _ in range(200):
+            numerator = rng.randrange(-(10 ** 12), 10 ** 12)
+            value = Fraction(numerator, rng.randrange(1, 10 ** 9))
+            scale = rng.randrange(1, 10 ** 20)
+            decimals = rng.randrange(0, 30)
+            assert format_ratio(
+                value.numerator * scale, value.denominator * scale, decimals
+            ) == format_fixed(value, decimals)
 
     def test_zero_decimals(self):
         assert format_fixed(Fraction(5, 2), 0) == "3"

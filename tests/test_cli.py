@@ -201,6 +201,24 @@ class TestTheta:
             "96622911d202701695aa2c2b3af760cc140c247c89e483f83674b0f237137ea7"
         )
 
+    @pytest.mark.parametrize("max_b", [2, 5, 40, 128])
+    @pytest.mark.parametrize("decimals", [0, 1, 5, 12, 1000])
+    def test_rows_equal_the_fraction_route(self, max_b, decimals):
+        bases = range(2, max_b + 1)
+        thetas = [asymptotics.theta_exact(b) for b in bases]
+        estimates = [asymptotics.approx_theta(b) for b in bases]
+        expected = [
+            ["theta"] + [render.format_fixed(t, decimals) for t in thetas],
+            ["estimate"] + [render.format_fixed(e, decimals) for e in estimates],
+            ["error"] + [
+                render.format_fixed(abs(t - e), decimals)
+                for t, e in zip(thetas, estimates)
+            ],
+        ]
+        header, rows = cli.theta_table_rows(max_b, decimals)
+        assert header == ["row"] + [f"b={b}" for b in bases]
+        assert rows == expected
+
     def test_largest_base_is_cheap(self, capsys):
         start = time.process_time()
         code, _, _ = run(capsys, "theta", "--max-b", str(cli.THETA_MAX_B))

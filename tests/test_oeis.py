@@ -27,6 +27,29 @@ def bfile_text(values, start=1, header=True):
     return "\n".join(lines) + "\n"
 
 
+def reference_reading(family, drop, skip, limit):
+    """One triangle reading built cell by cell from ``family_value``."""
+    shift = 1 if family == "g" else 0
+    out, n = [], 0
+    while len(out) < limit:
+        n += 1
+        width = n - 1 if drop else n
+        cells = [
+            recurrences.family_value(family, b + shift, n) for b in range(1, width + 1)
+        ]
+        if out or not skip or any(cells):
+            out.extend(cells)
+    return out[:limit]
+
+
+# 1, 2, 3, 640, 4096, and each N(N-1)/2 (rows 1..N just suffice) with the
+# limit after it (row N + 1 is needed), up to 4096 = 91 * 90 / 2 + 1
+READING_LIMITS = sorted(
+    {1, 2, 3, 640, 4096}
+    | {n * (n - 1) // 2 + d for n in range(2, 92) for d in (0, 1)}
+)
+
+
 class TestParse:
     def test_basic(self):
         assert parse_bfile("1 5\n2 7\n") == [(1, 5), (2, 7)]
@@ -116,6 +139,48 @@ class TestCompare:
         assert compare_bfile("A275662", "c", bfile_text(flat)).ok
         # 11 rows fill all four readings: the dropped-diagonal ones need 66 cells
         assert len(calls) <= 66
+
+    @pytest.mark.parametrize("family", ["g", "h", "r", "c"])
+    def test_triangle_readings_equal_per_cell_reference(self, family, monkeypatch):
+        full = {
+            name: reference_reading(family, drop, skip, max(READING_LIMITS))
+            for name, drop, skip in oeis._TRIANGLE_READINGS
+        }
+        if family == "r":  # r(1, 1) = 0 is the one leading zero row
+            kept = full["rows b=1..n"]
+            assert kept[0] == 0
+            assert full["rows b=1..n, leading zero rows skipped"][:-1] == kept[1:]
+        for limit in READING_LIMITS:
+            monkeypatch.setattr(recurrences, "_tables", {})  # cold, as for the CLI
+            assert oeis._readings(family, limit) == [
+                (name, full[name][:limit]) for name, _, _ in oeis._TRIANGLE_READINGS
+            ]
+
+    def test_triangle_checks_read_no_single_cells(self, monkeypatch):
+        calls = []
+        real_value, real_c = recurrences.CountTable.value, recurrences.c
+
+        def counting_value(self, *args):
+            calls.append(("value", args))
+            return real_value(self, *args)
+
+        def counting_c(*args):
+            calls.append(("c", args))
+            return real_c(*args)
+
+        triangles = {
+            "A275204": ("h", references.flatten_triangle("stack_counts.csv")),
+            "A275599": ("r", references.flatten_triangle("skewed_counts.csv")),
+            "A275662": ("c", references.flatten_triangle("convex_counts.csv")),
+            "A117468": ("g", [recurrences.g(p + 1, n)
+                              for n in range(1, 9) for p in range(1, n + 1)]),
+        }
+        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences.CountTable, "value", counting_value)
+        monkeypatch.setattr(recurrences, "c", counting_c)
+        for seq_id, (family, flat) in triangles.items():
+            assert compare_bfile(seq_id, family, bfile_text(flat)).ok
+        assert calls == []
 
     def test_detects_skipped_leading_zero_row(self):
         # same skew triangle but starting at the first non-zero row
