@@ -13,9 +13,11 @@ is a prefix of another, each (n, b) stream is strictly increasing as tuples
 of base-anchored levels; ``verify`` checks this instead of storing towers.
 Each walk is one loop over an explicit stack, as in Redelmeier's polyomino
 counter: a frame holds an open node's iterator over its untried level sets
-and its state.  A child with blocks left is pushed and walked before its
-next sibling is drawn, so the loop keeps a recursion's depth-first order
-without a generator frame per level, and a leaf is yielded in place.
+and its state.  The root frame holds the bases, so a base is just the
+first level and a bare base (b = n) is an ordinary leaf.  A child with
+blocks left is pushed and walked before its next sibling is drawn, so the
+loop keeps a recursion's depth-first order without a generator frame per
+level, and a leaf is yielded in place.
 
 Coordinates are base-anchored: the base's dominoes sit at x = 0, 2, ...,
 2b - 2 for the whole walk, and higher levels may reach left of it, down to
@@ -83,13 +85,34 @@ def _level_sets(
     return tuple(out)
 
 
-def _grow(levels: Levels, masks, remaining: int) -> Iterator[tuple[Levels, bool]]:
-    # masks: the levels' (seen, below) column masks, None once non-convex.
-    # A frame is an open node's untried children, levels and masks.  The
-    # break walks a pushed child before the next sibling is drawn, and the
-    # parent's iterator resumes after it, so children keep ``_level_sets``
-    # order and the stream stays depth first.
-    stack = [(iter(_level_sets(levels[-1], remaining)), levels, masks)]
+def _bases(n: int, b: int | None) -> list[tuple[tuple[int, ...], int]]:
+    """The root's children ``(base, n - b)``, after the checks both streams share."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if b is not None and b < 1:
+        raise ValueError("b must be at least 1")
+    if b is not None and b > n:
+        raise ValueError("b must not exceed n")
+    if n > DEFAULT_HARD_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_HARD_CAP}")
+    sizes = range(1, n + 1) if b is None else range(b, b + 1)
+    return [(tuple(range(0, 2 * size, 2)), n - size) for size in sizes]
+
+
+def walk(n: int, b: int | None = None) -> Iterator[tuple[Levels, bool]]:
+    """``(levels, convex)`` for every valid tower of n dominoes, each once.
+
+    ``b`` fixes the base size; None walks every base from 1 to n.  The
+    levels are base-anchored: the base is ``(0, 2, ..., 2b - 2)`` and higher
+    levels may hold negative x, so they are canonical only when none does.
+    """
+    # A frame is an open node's untried children, levels and masks: the
+    # levels' (seen, below) column masks, None once non-convex.  The root
+    # holds the bases, with no levels and empty masks.  The break walks a
+    # pushed child before the next sibling is drawn, and the parent's
+    # iterator resumes after it, so children keep ``_level_sets`` order and
+    # the stream stays depth first.
+    stack = [(iter(_bases(n, b)), (), (0, 0))]
     while stack:
         children, levels, masks = stack[-1]
         for chosen, left in children:
@@ -101,34 +124,6 @@ def _grow(levels: Levels, masks, remaining: int) -> Iterator[tuple[Levels, bool]
             yield grown, state is not None
         else:
             stack.pop()
-
-
-def _bases(n: int, b: int | None) -> range:
-    """The base sizes to walk, after the checks both streams share."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if b is not None and b < 1:
-        raise ValueError("b must be at least 1")
-    if b is not None and b > n:
-        raise ValueError("b must not exceed n")
-    if n > DEFAULT_HARD_CAP:
-        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_HARD_CAP}")
-    return range(1, n + 1) if b is None else range(b, b + 1)
-
-
-def walk(n: int, b: int | None = None) -> Iterator[tuple[Levels, bool]]:
-    """``(levels, convex)`` for every valid tower of n dominoes, each once.
-
-    ``b`` fixes the base size; None walks every base from 1 to n.  The
-    levels are base-anchored: the base is ``(0, 2, ..., 2b - 2)`` and higher
-    levels may hold negative x, so they are canonical only when none does.
-    """
-    for base_b in _bases(n, b):
-        base = tuple(range(0, 2 * base_b, 2))
-        if base_b == n:  # a bare base; _grow yields nothing with no block left
-            yield (base,), True
-        else:
-            yield from _grow((base,), _convex_row(0, 0, base, ORIGIN), n - base_b)
 
 
 def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
@@ -159,26 +154,21 @@ def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
     """``str(shape)`` for each shape of ``enumerate_towers(n, b)``, in order."""
     bases = _bases(n, b)  # checked before the tables are built
     tables = _texts(n)
-    for base_b in bases:
-        base = tuple(range(0, 2 * base_b, 2))
-        keys = [(x + n) * n for x in range(2 * base_b)]
-        if base_b == n:  # a bare base; the walk yields nothing with no block left
-            yield " ".join(itemgetter(*keys)(tables[n]))
-        # _grow's stack walk, each frame carrying its level's y and the keys
-        stack = [(iter(_level_sets(base, n - base_b)), 1, keys)]
-        while stack:
-            children, y, keys = stack[-1]
-            for chosen, left in children:
-                grown = [*keys, *_level_keys(chosen, y, n)]
-                grown.sort()
-                if left:
-                    stack.append((iter(_level_sets(chosen, left)), y + 1, grown))
-                    break
-                # the smallest key is in the leftmost column; a tower has
-                # at least two keys, so itemgetter gives a tuple, not an item
-                yield " ".join(itemgetter(*grown)(tables[grown[0] // n]))
-            else:
-                stack.pop()
+    # walk's stack loop, each frame carrying its level's y and the keys
+    stack = [(iter(bases), 0, [])]
+    while stack:
+        children, y, keys = stack[-1]
+        for chosen, left in children:
+            grown = [*keys, *_level_keys(chosen, y, n)]
+            grown.sort()
+            if left:
+                stack.append((iter(_level_sets(chosen, left)), y + 1, grown))
+                break
+            # the smallest key is in the leftmost column; a tower has
+            # at least two keys, so itemgetter gives a tuple, not an item
+            yield " ".join(itemgetter(*grown)(tables[grown[0] // n]))
+        else:
+            stack.pop()
 
 
 def census(n: int) -> Counter[tuple[int, int, TowerClass]]:

@@ -774,6 +774,44 @@ class TestImports:
         # the runtime is stdlib-only
         assert third_party == "[]"
 
+    def test_routes_stay_independent(self):
+        # a count route that reads another route's module checks nothing
+        package = ROOT / "src" / "dominotowers"
+        trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+                 for p in package.glob("*.py")}
+        imports = {}
+        for stem, tree in trees.items():
+            modules = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    if node.level:  # relative, so inside the package
+                        base = f"dominotowers.{base}".rstrip(".")
+                    modules |= ({f"{base}.{a.name}" for a in node.names}
+                                if base == "dominotowers" else {base})
+                elif isinstance(node, ast.Import):
+                    modules |= {a.name for a in node.names}
+            imports[stem] = {m.split(".")[1] for m in modules
+                             if m.startswith("dominotowers.")}
+        assert imports["series"] == set()
+        assert imports["recurrences"].isdisjoint({"series", "enumerator"})
+        for stem in ("model", "enumerator"):
+            assert imports[stem].isdisjoint({"series", "recurrences"}), stem
+        # theta from its parts at 1/2 never reaches the closed form's pass
+        functions = {node.name: node for node in trees["asymptotics"].body
+                     if isinstance(node, ast.FunctionDef)}
+        for root in ("theta_from_parts", "denominator_derivative_at_half",
+                     "numerator_hat_at_half", "numerator_bar_at_half"):
+            reached, todo = set(), [root]
+            while todo:
+                name = todo.pop()
+                if name in reached:
+                    continue
+                reached.add(name)
+                todo += [node.id for node in ast.walk(functions[name])
+                         if isinstance(node, ast.Name) and node.id in functions]
+            assert reached.isdisjoint({"theta_pairs", "theta_exact"}), root
+
 
 class TestExitCodes:
     """One row per way ``main`` maps an exception to an exit code."""
@@ -904,3 +942,30 @@ class TestBenchHooks:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout.decode().count("PASS ") == 3
+
+    def test_every_command_kind_runs_traced(self):
+        # the benchmark's job kinds, each through the patched names, and the
+        # per-layer readout that follows a traced run
+        code = (
+            "import contextlib, io\n"
+            "import tracer\n"
+            "from dominotowers import cli\n"
+            "t = tracer.Tracer()\n"
+            "tracer.install(t)\n"
+            "jobs = [['verify', '--max-n', '3'], ['enumerate', '--n', '3'],\n"
+            "        ['count', 'c', '--b', '2', '--n', '4'],\n"
+            "        ['table', 'h', '--max-n', '3', '--max-b', '2'],\n"
+            "        ['series', 'r', '--b', '2', '--order', '5'],\n"
+            "        ['theta', '--max-b', '3']]\n"
+            "for argv in jobs:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    assert t.stats(f'cli.cmd_{argv[0]}')[0] == 1, argv\n"
+            "print(tracer.layer_metrics(t)['trace.spans'])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env("src", "bench"), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
