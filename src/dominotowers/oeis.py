@@ -4,11 +4,12 @@ A b-file is a text file of ``index value`` lines; ``#`` starts a comment and
 both LF and CRLF are tolerated.  Comparison computes our side of a sequence
 once, up to the b-file's last index or a term cap, whichever is smaller, and
 reads it in each candidate layout: a triangle's rows come from one read of
-the family's table and every flattening (with and without the diagonal cell,
-with and without leading all-zero rows) is filled from the same rows;
-partition totals are read from index 1 and from index 0.  The layout is
-detected from the b-file itself; if no candidate matches the opening terms,
-the alignment failure is reported rather than guessed around.
+the family's table and both flattenings (with and without the diagonal cell)
+are filled from the same rows; r, whose row 1 is all zero, is also read from
+row 2 with the diagonal kept; partition totals are read from index 1 and from
+index 0.  The layout is detected from the b-file itself; if no candidate
+matches the opening terms, the alignment failure is reported rather than
+guessed around.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ DETECT_PREFIX = 4
 # when a caller (the CLI does) lifts the process-wide limit
 TERM_DIGIT_CAP = getattr(sys.int_info, "default_max_str_digits", 4300)
 
-FAMILY_CHOICES = ("g", "h", "r", "c", "partitions", "constant")
+FAMILY_CHOICES = recurrences.FAMILIES + ("partitions", "constant")
 
 #: Sequence ids with a known generator on our side.
 KNOWN_SEQUENCES = {
@@ -78,16 +79,6 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     return entries
 
 
-# triangle readings in comparison order: (name, drop each row's diagonal cell,
-# skip leading all-zero rows)
-_TRIANGLE_READINGS = (
-    ("rows b=1..n", False, False),
-    ("rows b=1..n-1", True, False),
-    ("rows b=1..n, leading zero rows skipped", False, True),
-    ("rows b=1..n-1, leading zero rows skipped", True, True),
-)
-
-
 def _readings(family: str, limit: int) -> list[tuple[str, list[int]]]:
     """Our side as (name, first ``limit`` terms), one pair per reading."""
     if family == "constant":
@@ -101,20 +92,23 @@ def _readings(family: str, limit: int) -> list[tuple[str, list[int]]]:
     shift = 1 if family == "g" else 0  # g's column b is largest part b, row b+1
     # Rows n = 1..size give every reading ``limit`` terms.  A dropped-diagonal
     # reading holds size(size-1)/2 cells through row size and a kept-diagonal
-    # one size more; skipping leading zero rows can drop row 1 alone, because
-    # row 2's first cell (g(2, 2), h(1, 2), r(1, 2), c(1, 2)) is 1.
+    # one size more.  Row 2's first cell (g(2, 2), h(1, 2), r(1, 2), c(1, 2)) is
+    # non-zero, so skipping leading all-zero rows can drop only the kept row 1,
+    # and only r's is zero: r(1, 1) = 0.
     size = isqrt(2 * limit) + 1
     if size * (size - 1) // 2 < limit:
         size += 1
     rows = recurrences.rows(family, size + shift, size)[shift:]
-    terms: list[list[int]] = [[] for _ in _TRIANGLE_READINGS]
+    kept: list[int] = []
+    dropped: list[int] = []
     for n in range(1, size + 1):
         row = list(map(itemgetter(n), rows[:n]))
-        for (_, drop, skip), out in zip(_TRIANGLE_READINGS, terms):
-            cells = row[:-1] if drop else row
-            if out or not skip or any(cells):
-                out.extend(cells)
-    return [(name, out[:limit]) for (name, _, _), out in zip(_TRIANGLE_READINGS, terms)]
+        kept += row
+        dropped += row[:-1]
+    readings = [("rows b=1..n", kept[:limit]), ("rows b=1..n-1", dropped[:limit])]
+    if not kept[0]:
+        readings.append(("rows b=1..n, leading zero rows skipped", kept[1 : limit + 1]))
+    return readings
 
 
 @dataclass(frozen=True)

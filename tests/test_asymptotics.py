@@ -139,6 +139,12 @@ class TestAssemblyParts:
         assert numerator_bar_at_half(2) == 1
         assert numerator_bar_at_half(3) == Fraction(5, 8)
 
+    def test_numerators_reject_b_below_one(self):
+        with pytest.raises(ValueError, match="b must be at least 1"):
+            numerator_hat_at_half(0)
+        with pytest.raises(ValueError, match="b must be at least 1"):
+            numerator_bar_at_half(0)
+
     def test_assembled_theta_equals_closed_form(self):
         for b in range(2, 65):
             assert theta_from_parts(b) == theta_exact(b)
@@ -147,6 +153,8 @@ class TestAssemblyParts:
 class TestLimitConstant:
     def test_single_term(self):
         assert limit_constant_fraction(1) == 2
+        with pytest.raises(ValueError, match="terms must be at least 1"):
+            limit_constant_fraction(0)
 
     def test_matches_per_factor_reference(self):
         for terms in range(1, 201):
@@ -176,6 +184,8 @@ class TestLimitConstant:
         assert decimal_digits(Fraction(22, 7), 6) == "314285"
         with pytest.raises(ValueError):
             decimal_digits(Fraction(-1, 2), 3)
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            decimal_digits(Fraction(1, 2), 0)
 
     def test_decimal_digits_match_long_division(self):
         rng = random.Random(12)

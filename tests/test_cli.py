@@ -152,6 +152,10 @@ class TestTable:
         code, _, err = run(capsys, "table", "h", "--max-n", "5000", "--max-b", "2")
         assert code == 2 and "bounds" in err
 
+    def test_unknown_format_is_rejected(self):
+        with pytest.raises(ValueError, match="format must be one of"):
+            render.render_table(["a"], [["1"]], "xml")
+
 
 class TestTheta:
     def test_default_five_decimals_golden(self, capsys):
@@ -341,6 +345,27 @@ class TestVerify:
             "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
             "c(2,4): census 19 != recurrence 18"
         )
+
+    def test_missing_tower_fails_count_and_total(self, capsys, monkeypatch):
+        # a non-convex tower leaves the census alone but not the raw counts
+        real = cli.walk
+
+        def dropping(n, b=None):
+            for levels, convex in real(n, b):
+                if levels == ((0, 2), (1,), (2,)):
+                    assert not convex
+                    continue
+                yield levels, convex
+
+        monkeypatch.setattr(cli, "walk", dropping)
+        code, out, _ = run(capsys, "verify", "--max-n", "4")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == (
+            "FAIL known counts: C(2n-1, n-b) per base and 4^(n-1) per size: "
+            "count(4,2) = 20 != 21; total(4) = 63 != 64"
+        )
+        assert [line[:4] for line in lines[1:]] == ["PASS", "PASS"]
 
     def test_one_enumeration_per_size_and_base(self, monkeypatch):
         calls = []

@@ -423,6 +423,11 @@ class TestDissection:
         with pytest.raises(ValueError):
             dissect(t)
 
+    def test_rejects_invalid_tower(self):
+        t = TowerShape.from_dominoes([(0, 0), (3, 1)])
+        with pytest.raises(ValueError, match="dissect requires a valid tower"):
+            dissect(t)
+
     def test_round_trip_and_parts_for_small_sizes(self):
         for n in range(1, 7):
             seen = {}

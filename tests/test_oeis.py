@@ -137,23 +137,32 @@ class TestCompare:
         monkeypatch.setattr(recurrences, "family_value", counting)
         flat = references.flatten_triangle("convex_counts.csv")
         assert compare_bfile("A275662", "c", bfile_text(flat)).ok
-        # 11 rows fill all four readings: the dropped-diagonal ones need 66 cells
+        # 11 rows fill every reading: the dropped-diagonal one needs their 66 cells
         assert len(calls) <= 66
 
     @pytest.mark.parametrize("family", ["g", "h", "r", "c"])
     def test_triangle_readings_equal_per_cell_reference(self, family, monkeypatch):
         full = {
-            name: reference_reading(family, drop, skip, max(READING_LIMITS))
-            for name, drop, skip in oeis._TRIANGLE_READINGS
+            (drop, skip): reference_reading(family, drop, skip, max(READING_LIMITS))
+            for drop in (False, True)
+            for skip in (False, True)
         }
+        kept, dropped = full[False, False], full[True, False]
+        skipped = full[False, True]
+        # without its diagonal cell row 1 is empty and row 2 starts non-zero,
+        # so skipping leading zero rows never changes the dropped reading
+        assert full[True, True] == dropped
+        named = {"rows b=1..n": kept, "rows b=1..n-1": dropped}
         if family == "r":  # r(1, 1) = 0 is the one leading zero row
-            kept = full["rows b=1..n"]
             assert kept[0] == 0
-            assert full["rows b=1..n, leading zero rows skipped"][:-1] == kept[1:]
+            assert skipped[:-1] == kept[1:]
+            named["rows b=1..n, leading zero rows skipped"] = skipped
+        else:
+            assert skipped == kept
         for limit in READING_LIMITS:
             monkeypatch.setattr(recurrences, "_tables", {})  # cold, as for the CLI
             assert oeis._readings(family, limit) == [
-                (name, full[name][:limit]) for name, _, _ in oeis._TRIANGLE_READINGS
+                (name, terms[:limit]) for name, terms in named.items()
             ]
 
     def test_triangle_checks_read_no_single_cells(self, monkeypatch):
