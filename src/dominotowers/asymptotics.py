@@ -26,9 +26,9 @@ appear only at the display boundary.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from . import recurrences
 
@@ -150,8 +150,7 @@ def limit_constant_digits(count: int) -> str:
         terms *= 2
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """How far c(b, n) / 2^n has converged to theta_b, all exact."""
 
     b: int

@@ -19,7 +19,6 @@ from collections import Counter
 from functools import cache
 from itertools import chain
 from math import comb
-from pathlib import Path
 
 from . import asymptotics, model, oeis, recurrences, series
 from .enumerator import (
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis = sub.add_parser("oeis-check", help="compare a family against a b-file")
     p_oeis.add_argument("sequence_id")
     p_oeis.add_argument("--family", choices=oeis.FAMILY_CHOICES, default=None)
-    p_oeis.add_argument("--bfile", type=Path, required=True)
+    p_oeis.add_argument("--bfile", required=True)
 
     return parser
 
@@ -258,7 +257,8 @@ def cmd_oeis_check(args) -> int:
     family = args.family or oeis.KNOWN_SEQUENCES.get(args.sequence_id)
     if family is None:
         raise ValueError(f"unknown sequence {args.sequence_id}; pass --family")
-    text = args.bfile.read_text(encoding="utf-8")
+    with open(args.bfile, encoding="utf-8") as f:
+        text = f.read()
     result = oeis.compare_bfile(args.sequence_id, family, text)
     print(
         f"{result.sequence_id} as {result.family} ({result.candidate}): "

@@ -35,10 +35,9 @@ compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class TowerClass(Enum):
@@ -53,8 +52,11 @@ class TowerClass(Enum):
 Levels = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class TowerShape:
+class _Levels(NamedTuple):
+    levels: Levels
+
+
+class TowerShape(_Levels):
     """A finite, canonically translated set of dominoes, stored by level.
 
     ``levels`` holds the left cells of the dominoes on each level, bottom to
@@ -62,16 +64,16 @@ class TowerShape:
     Construction does not enforce tower validity; ``validate`` is the total
     predicate for that.  Identity, equality, and hashing use ``levels``,
     which for canonical shapes is one-to-one with the sorted cell list.
+    The class declares no ``__slots__``: its instances keep a ``__dict__``
+    for the cached properties.
     """
-
-    levels: Levels
 
     @classmethod
     def from_levels(cls, levels: Levels) -> "TowerShape":
         """Shape from sorted levels, translated so the smallest left cell is 0."""
-        shift = min(row[0] for row in levels if row)
+        shift = min([row[0] for row in levels if row])
         if shift:
-            levels = tuple(tuple(x - shift for x in row) for row in levels)
+            levels = tuple([tuple([x - shift for x in row]) for row in levels])
         return cls(levels)
 
     @classmethod
@@ -108,7 +110,7 @@ class TowerShape:
 
     @property
     def max_row_b(self) -> int:
-        return max(len(row) for row in self.levels)
+        return max(map(len, self.levels))
 
     @property
     def top_row_b(self) -> int:
@@ -219,8 +221,7 @@ def classify(shape: TowerShape) -> TowerClass:
     return TowerClass.CONVEX_OTHER
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(NamedTuple):
     """Split of a convex tower at its lowest row of maximum length.
 
     ``lower`` is None exactly when the widest row is the base itself.  Both
@@ -239,8 +240,8 @@ def dissect(shape: TowerShape) -> Dissection:
     if not shape.convex:
         raise ValueError("dissect requires a convex tower")
     levels = shape.levels
-    widest = shape.max_row_b
-    level = next(y for y, row in enumerate(levels) if len(row) == widest)
+    widths = [*map(len, levels)]
+    level = widths.index(max(widths))
     upper = TowerShape.from_levels(levels[level:])
     if level == 0:
         return Dissection(None, upper)
@@ -253,5 +254,5 @@ def recombine(dissection: Dissection) -> TowerShape:
     if lower is None:
         return upper
     dx = lower.levels[-1][0] - 1 - upper.levels[0][0]
-    placed = tuple(tuple(x + dx for x in row) for row in upper.levels)
+    placed = tuple([tuple([x + dx for x in row]) for row in upper.levels])
     return TowerShape.from_levels(lower.levels + placed)

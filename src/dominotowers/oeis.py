@@ -15,9 +15,9 @@ guessed around.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import isqrt
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import asymptotics, recurrences
 
@@ -111,8 +111,7 @@ def _readings(family: str, limit: int) -> list[tuple[str, list[int]]]:
     return readings
 
 
-@dataclass(frozen=True)
-class CompareResult:
+class CompareResult(NamedTuple):
     sequence_id: str
     family: str
     candidate: str

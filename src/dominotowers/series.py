@@ -20,9 +20,9 @@ diagonal differences, so the two routes share no formulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
+from typing import NamedTuple
 
 CLOSED_FORM = "closed-form"
 FUNCTIONAL = "functional"
@@ -31,15 +31,19 @@ _METHODS = (CLOSED_FORM, FUNCTIONAL)
 MAX_CLOSED_FORM_B = 12
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients 0..order of a formal power series."""
-
+class _Coeffs(NamedTuple):
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+
+class TruncatedSeries(_Coeffs):
+    """Coefficients 0..order of a formal power series."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: tuple[int, ...]) -> "TruncatedSeries":
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
+        return super().__new__(cls, coeffs)
 
     @property
     def order(self) -> int:
@@ -57,6 +61,10 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(other * a for a in self.coeffs))
 
     __rmul__ = __mul__
+
+    def __add__(self, other):
+        """Refused: the tuple base would concatenate the coefficient lists."""
+        return NotImplemented
 
 
 def _filter(a: int, lam: int, coeffs) -> list[int]:

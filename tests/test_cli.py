@@ -787,6 +787,7 @@ class TestImports:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dominotowers'))\n"
             "ok = set(sys.stdlib_module_names) | {'dominotowers', '__main__'}\n"
             "print(sorted(tops - ok))\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'pathlib') if m in sys.modules))\n"
         )
         # -S: no site hooks, which may import third-party modules at startup
         proc = subprocess.run(
@@ -794,10 +795,12 @@ class TestImports:
             env=child_env("src"), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        ours, third_party = proc.stdout.splitlines()
+        ours, third_party, slow = proc.stdout.splitlines()
         assert ours == repr(expected)
         # the runtime is stdlib-only
         assert third_party == "[]"
+        # every command pays its imports: these three cost ~15 ms of start-up
+        assert slow == "[]"
 
     def test_routes_stay_independent(self):
         # a count route that reads another route's module checks nothing
@@ -818,6 +821,8 @@ class TestImports:
                     modules |= {a.name for a in node.names}
             imports[stem] = {m.split(".")[1] for m in modules
                              if m.startswith("dominotowers.")}
+            # the record types are NamedTuples: dataclasses costs start-up
+            assert "dataclasses" not in modules, stem
         assert imports["series"] == set()
         assert imports["recurrences"].isdisjoint({"series", "enumerator"})
         for stem in ("model", "enumerator"):

@@ -158,6 +158,21 @@ def assert_matches_reference(t: TowerShape) -> None:
     assert is_supporting(t) == reference_is_supporting(t), t.levels
 
 
+class TestShapeRecord:
+    def test_levels_are_read_only(self):
+        t = shape((0, 0), (1, 1))
+        with pytest.raises(AttributeError):
+            t.levels = ((0,),)
+        assert t.levels == ((0,), (1,))
+
+    def test_repr_equality_and_hash_follow_levels(self):
+        t = shape((2, 0), (3, 1))
+        assert repr(t) == "TowerShape(levels=((0,), (1,)))"
+        assert t.convex  # cached per instance, not part of equality
+        same = TowerShape(((0,), (1,)))
+        assert t == same and hash(t) == hash(same)
+
+
 class TestSupportRule:
     def test_cell_rule_equals_offset_rule_for_all_relative_placements(self):
         # one domino above another at every horizontal offset that could matter:

@@ -126,19 +126,22 @@ class TestCompare:
         assert result.candidate == "rows b=1..n-1"
         assert result.compared == 45
 
-    def test_triangle_cells_are_computed_once(self, monkeypatch):
+    def test_triangle_rows_are_read_once(self, monkeypatch):
         calls = []
-        real = recurrences.family_value
+        real = recurrences.rows
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(family, max_b, max_n, *rest):
+            calls.append((family, max_b, max_n))
+            return real(family, max_b, max_n, *rest)
 
-        monkeypatch.setattr(recurrences, "family_value", counting)
+        monkeypatch.setattr(recurrences, "rows", counting)
         flat = references.flatten_triangle("convex_counts.csv")
+        assert len(flat) == 55
         assert compare_bfile("A275662", "c", bfile_text(flat)).ok
-        # 11 rows fill every reading: the dropped-diagonal one needs their 66 cells
-        assert len(calls) <= 66
+        # 11 rows fill every reading: the dropped-diagonal one needs 55 of their cells
+        assert len(calls) == 1
+        family, max_b, max_n = calls[0]
+        assert family == "c" and max_b <= 11 and max_n <= 11
 
     @pytest.mark.parametrize("family", ["g", "h", "r", "c"])
     def test_triangle_readings_equal_per_cell_reference(self, family, monkeypatch):

@@ -85,6 +85,12 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             s * s
 
+    def test_series_sum_is_rejected(self):
+        # a tuple base would otherwise concatenate the coefficient lists
+        s = TruncatedSeries((1, 1, 0))
+        with pytest.raises(TypeError):
+            s + s
+
     def test_scalar_operations(self):
         s = TruncatedSeries((0, 1, 2))
         assert (3 * s).coeffs == (0, 3, 6)
