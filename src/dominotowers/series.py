@@ -9,13 +9,14 @@ is a running sum along each residue class mod a, run in C as one
 
 The builders run on plain coefficient lists, one fused pass per filter input
 and per running-sum update, and wrap the result in a `TruncatedSeries` once.
-Each family has two routes.  The closed form sums over subsets of {1..b-1}
-walked depth first: a child extends its parent's product by one weighted
-filter and each subset adds its own term (practical up to b = 12).  The
-functional equation carries running sums, three passes per stack base; it is
-the production route, and the closed forms cross-check it.  It keeps the
-paper's sums over smaller bases on purpose: the `recurrences` tables grow by
-diagonal differences, so the two routes share no formulation.
+Each family has two routes.  The closed form sums over the subsets of
+{1..b-1} whose sum stays inside the order, walked depth first: a child
+extends its parent's product by one weighted filter and each subset adds its
+own term (all 2^(b-1) at high order, practical up to b = 12).  The functional
+equation carries running sums, three passes per stack base; it is the
+production route, and the closed forms cross-check it.  It keeps the paper's
+sums over smaller bases on purpose: the `recurrences` tables grow by diagonal
+differences, so the two routes share no formulation.
 """
 
 from __future__ import annotations
@@ -121,25 +122,33 @@ def build_G(b: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(_supporting_chain(b, one, [0] * (order + 1))))
 
 
-def _subset_sum(term: list[int], low: int, above: int, lam: int, weight, total):
-    """total + the sum over subsets S of {low..above-1} of term * prod_{k in S}
-    w x^k/(1-lam*x^k), w = weight(next member of S or above, k).  Depth first:
-    each subset adds its own term, and a child adds one k below its parent's
-    smallest member, one filter on the parent's product with w folded in.  A
-    child is built only when visited, so one product per depth is alive."""
-    total = [t + v for t, v in zip(total, term)]
+def _subset_sum(term: list[int], shift: int, low: int, above: int, lam: int, weight, total):
+    """Add to total the sum over subsets S of {low..above-1} of x^shift * term *
+    prod_{k in S} w x^k/(1-lam*x^k), w = weight(next member of S or above, k).
+    Depth first: each subset adds its own term, and a child adds one k below
+    its parent's smallest member, one filter on the parent's product with w
+    folded in.  Products are kept from x^shift up, shift + sum(S), and only
+    subsets whose shift stays inside the order are visited: the first child
+    at len(total) ends the loop, as later siblings and their subtrees lie past
+    it too.  One product per depth is alive.  At high order every subset is still
+    visited, which the b <= 12 cap bounds."""
+    total[shift:] = map(add, total[shift:], term)
     for k in range(low, above):
+        if shift + k >= len(total):
+            break
         w = weight(above, k)
-        child = _filter(k, lam, [w * v for v in term])
-        total = _subset_sum(child, low, k, lam, weight, total)
+        child = _filter(k, lam, [w * v for v in term])[k:]
+        _subset_sum(child, shift + k, low, k, lam, weight, total)
     return total
 
 
 def _closed_H(b: int, order: int) -> list[int]:
-    """Closed-form H_b: x^b/(1-x^b) * sum over S of prod (2(above-k)+1) x^k/(1-x^k)."""
-    one, zero = [1] + [0] * order, [0] * (order + 1)
-    total = _subset_sum(one, 1, b, 1, lambda up, k: 2 * (up - k) + 1, zero)
-    return _filter(b, 1, total)
+    """Closed-form H_b: x^b/(1-x^b) * sum over S of prod (2(above-k)+1) x^k/(1-x^k),
+    the sum taken over sum(S) <= order - b, all that the outer factor keeps."""
+    size = max(order + 1 - b, 0)
+    one, zero = [1, *[0] * order][:size], [0] * size
+    total = _subset_sum(one, 0, 1, b, 1, lambda up, k: 2 * (up - k) + 1, zero)
+    return _filter(b, 1, total + [0] * (order + 1 - size))
 
 
 def _stacks(b: int, order: int):
@@ -183,10 +192,10 @@ def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     _check(b, order, method)
     if method == FUNCTIONAL:
         return TruncatedSeries(tuple(_stack_and_skew(b, order)[1]))
-    total = [0] * (order + 1)
-    for j in range(1, b + 1):
-        total = _subset_sum(_closed_H(j, order), j, b, 2, lambda up, k: 2, total)
-    return TruncatedSeries(tuple(_filter(b, 2, total)))
+    total = [0] * max(order + 1 - b, 0)  # summed below the outer factor x^b
+    for j in range(1, min(b, order - b) + 1):  # H_j lies at x^j and up
+        _subset_sum(_closed_H(j, order - b)[j:], j, j, b, 2, lambda up, k: 2, total)
+    return TruncatedSeries(tuple(_filter(b, 2, total + [0] * (order + 1 - len(total)))))
 
 
 def build_C(b: int, order: int) -> TruncatedSeries:

@@ -179,13 +179,17 @@ class TestBuilders:
         assert column3 == [1, 7, 17, 49, 115, 258, 551, 1163]
 
     def test_methods_agree(self):
+        # the subset walk stops at the order and sums below the outer factor
+        # x^b, so every order up to b + 3 meets one of its boundaries
         for b in range(1, MAX_CLOSED_FORM_B + 1):
-            assert build_H(b, 30, CLOSED_FORM) == build_H(b, 30, FUNCTIONAL)
-            assert build_R(b, 30, CLOSED_FORM) == build_R(b, 30, FUNCTIONAL)
+            for order in (*range(b + 4), 30):
+                assert build_H(b, order, CLOSED_FORM) == build_H(b, order, FUNCTIONAL)
+                assert build_R(b, order, CLOSED_FORM) == build_R(b, order, FUNCTIONAL)
 
     @pytest.mark.parametrize("b", range(1, 11))
     def test_closed_forms_match_reference(self, b):
-        for order in (0, 1, b, 30):
+        # the reference rebuilds every subset's product and never prunes
+        for order in sorted({0, 1, b - 1, b, b + 1, 30}):
             assert build_H(b, order, CLOSED_FORM).coeffs == reference_closed_H(b, order)
             assert build_R(b, order, CLOSED_FORM).coeffs == reference_closed_R(b, order)
 
@@ -220,6 +224,12 @@ class TestBuilders:
         for b in (1, 2, 4):
             for build in (build_G, build_H, build_R, build_C):
                 assert build(b, 40).coeffs[:26] == build(b, 25).coeffs
+
+    @pytest.mark.parametrize("b", [6, 9, 12])
+    def test_closed_form_truncation_consistency(self, b):
+        # the closed forms prune by the order, so a longer build must agree
+        for build in (build_H, build_R):
+            assert build(b, 40, CLOSED_FORM).coeffs[:26] == build(b, 25, CLOSED_FORM).coeffs
 
     def test_coefficients_non_negative(self):
         for b in range(1, 7):
@@ -260,9 +270,18 @@ class TestBuilders:
             build(*args)
 
 
+def count_filters(monkeypatch):
+    """A list that gains one entry per `series._filter` call."""
+    calls = []
+    real = series._filter
+    monkeypatch.setattr(series, "_filter", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 class TestBuildCost:
     """No product is rebuilt or filtered past the order: the closed forms walk
-    subsets depth first, and the supporting chain stops at the order."""
+    subsets depth first and stop at the order, and so does the supporting
+    chain."""
 
     def test_largest_closed_form_skew(self):
         start = time.process_time()
@@ -272,8 +291,21 @@ class TestBuildCost:
     def test_supporting_chain_stops_past_the_order(self, monkeypatch):
         # x^(b-1) already lies past order 64, so no filter is run, where a
         # filter per step would run 4095 of them
-        calls = []
-        real = series._filter
-        monkeypatch.setattr(series, "_filter", lambda *args: calls.append(1) or real(*args))
+        calls = count_filters(monkeypatch)
         assert build_G(4096, 64).coeffs == (0,) * 65
         assert not calls
+
+    def test_closed_form_stack_filters_only_subsets_inside_the_order(self, monkeypatch):
+        # H_12 to order 20 keeps x^12 * (x^0..x^8): one filter per non-empty
+        # S of {1..11} with sum(S) <= 8, plus the outer x^12 factor (25 in
+        # all, where a filter per subset would run 2048)
+        inside = sum(1 for s in subsets(range(1, 12)) if s and sum(s) <= 8)
+        calls = count_filters(monkeypatch)
+        build_H(12, 20, CLOSED_FORM)
+        assert len(calls) == 1 + inside == 25
+
+    def test_closed_form_skew_filters_only_subsets_inside_the_order(self, monkeypatch):
+        # 54 filters, where a filter per subset of every H_j walk runs 8179
+        calls = count_filters(monkeypatch)
+        build_R(12, 20, CLOSED_FORM)
+        assert len(calls) < 100
