@@ -105,48 +105,26 @@ def approx_theta(b: int) -> Fraction:
     return ESTIMATE_CONSTANT * Fraction(1, 2 ** (b - 1))
 
 
-def _limit_constant_pair(terms: int) -> tuple[int, int]:
-    """Numerator and denominator of the partial product over ``terms`` factors."""
-    if terms < 1:
-        raise ValueError("terms must be at least 1")
-    denominator = prod(2 ** k - 1 for k in range(1, terms + 1))
-    return 2 ** (terms * (terms + 1) // 2), denominator
-
-
-def limit_constant_fraction(terms: int) -> Fraction:
-    """Partial product prod_{k=1..terms} 2^k/(2^k - 1), increasing in terms."""
-    return Fraction(*_limit_constant_pair(terms))
-
-
-def _digits(numerator: int, denominator: int, count: int) -> str:
-    """First ``count`` digits of numerator/denominator (both positive)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    shift = max(0, count - len(str(numerator // denominator)))
-    return str(numerator * 10 ** shift // denominator).zfill(count)[:count]
-
-
-def decimal_digits(value: Fraction, count: int) -> str:
-    """First ``count`` digits of the decimal expansion, integer part included."""
-    if value < 0:
-        raise ValueError("expected a non-negative value")
-    return _digits(value.numerator, value.denominator, count)
-
-
 def limit_constant_digits(count: int) -> str:
-    """Stable decimal digits of the limiting product.
+    """Stable decimal digits of the limiting product prod_k 2^k/(2^k - 1).
 
     The tail beyond ``terms`` factors multiplies the partial product by at
     most 1 + 2^(2-terms), so digits where the lower and upper bounds agree
-    are digits of the limit.  Both bounds stay unreduced integer pairs.
+    are digits of the limit.  Both bounds stay unreduced integer pairs, and
+    since the limit lies in [1, 10) each bound's first ``count`` digits are
+    numerator * 10^(count-1) // denominator.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    scale = 10 ** (count - 1)
     terms = max(64, 4 * count)
     while True:
-        numerator, denominator = _limit_constant_pair(terms)
-        lo_digits = _digits(numerator, denominator, count)
+        numerator = 2 ** (terms * (terms + 1) // 2) * scale
+        denominator = prod(2 ** k - 1 for k in range(1, terms + 1))
         tail = 2 ** (terms - 2)
-        if lo_digits == _digits(numerator * (tail + 1), denominator * tail, count):
-            return lo_digits
+        lo_digits = numerator // denominator
+        if lo_digits == numerator * (tail + 1) // (denominator * tail):
+            return str(lo_digits)
         terms *= 2
 
 

@@ -119,10 +119,6 @@ class CompareResult(NamedTuple):
     matched: int
     first_mismatch: tuple[int, int, int] | None  # (index, ours, theirs)
 
-    @property
-    def ok(self) -> bool:
-        return self.compared > 0 and self.matched == self.compared
-
 
 def compare_bfile(seq_id: str, family: str, text: str) -> CompareResult:
     indices, theirs = zip(*parse_bfile(text))

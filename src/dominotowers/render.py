@@ -7,14 +7,7 @@ newline, no locale or platform dependence.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 FORMATS = ("csv", "tsv", "markdown")
-
-
-def format_fixed(value: Fraction, decimals: int) -> str:
-    """Round half away from zero to ``decimals`` places, fixed width."""
-    return format_ratio(value.numerator, value.denominator, decimals)
 
 
 def format_ratio(numerator: int, denominator: int, decimals: int) -> str:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from dominotowers import asymptotics, recurrences, series
 from dominotowers.enumerator import census, enumerate_towers
 from dominotowers.model import TowerClass, classify, dissect, is_supporting, recombine
-from dominotowers.render import format_fixed
+from dominotowers.render import format_ratio
 import references
 
 # sha256 of each reference table as received; criteria 1, 3 and 4 fail on
@@ -109,8 +109,9 @@ def test_criterion_04_theta_table_reproduction():
             ("error", abs(theta - estimate)),
         )
         for label, value in rows:
-            ours = format_fixed(value, 5)
-            reference = format_fixed(Fraction(printed[label][idx]), 5)
+            ours = format_ratio(*value.as_integer_ratio(), 5)
+            printed_value = Fraction(printed[label][idx])
+            reference = format_ratio(*printed_value.as_integer_ratio(), 5)
             if ours != reference:
                 problems.append(
                     f"{label} at b={b}: computed {ours}, reference {reference}"

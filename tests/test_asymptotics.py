@@ -5,10 +5,9 @@ at b=5: the coarse estimate row should hold 3.46/16 = 0.21625 (printed
 0.21675) and the error row 0.00369 (printed 0.00319).  The computation here
 is the honest one; the discrepancy itself is asserted so it stays visible.
 
-The integer kernels (theta_pairs, theta_exact, limit_constant_fraction,
-decimal_digits, limit_constant_digits, format_fixed) are also compared with
-per-factor Fraction and digit-by-digit references written out below, one
-step per factor or digit.
+The integer kernels (theta_pairs, theta_exact, limit_constant_digits,
+format_ratio) are also compared with per-factor Fraction and digit-by-digit
+references written out below, one step per factor or digit.
 """
 
 import random
@@ -20,17 +19,15 @@ from hypothesis import example, given, settings, strategies as st
 from dominotowers.asymptotics import (
     approx_theta,
     convergence_report,
-    decimal_digits,
     denominator_derivative_at_half,
     limit_constant_digits,
-    limit_constant_fraction,
     numerator_bar_at_half,
     numerator_hat_at_half,
     theta_exact,
     theta_from_parts,
     theta_pairs,
 )
-from dominotowers.render import format_fixed, format_ratio
+from dominotowers.render import format_ratio
 import references
 
 
@@ -59,10 +56,10 @@ def reference_limit_digits(count):
     """Digits where the Fraction bounds lo and lo * (1 + 2^(2-terms)) agree."""
     terms = max(64, 4 * count)
     while True:
-        lo = limit_constant_fraction(terms)
+        lo = reference_limit_product(terms)
         hi = lo * (1 + Fraction(1, 2 ** (terms - 2)))
-        if decimal_digits(lo, count) == decimal_digits(hi, count):
-            return decimal_digits(lo, count)
+        if reference_digits(lo, count) == reference_digits(hi, count):
+            return reference_digits(lo, count)
         terms *= 2
 
 
@@ -97,7 +94,9 @@ class TestThetaExact:
         assert theta_exact(4) == Fraction(208, 441)
 
     def test_rounded_row(self):
-        rounded = [format_fixed(theta_exact(b), 5) for b in range(2, 11)]
+        rounded = [
+            format_ratio(*theta_exact(b).as_integer_ratio(), 5) for b in range(2, 11)
+        ]
         assert rounded == [
             "2.00000", "1.11111", "0.47166", "0.21994", "0.10853",
             "0.05414", "0.02706", "0.01353", "0.00676",
@@ -151,23 +150,6 @@ class TestAssemblyParts:
 
 
 class TestLimitConstant:
-    def test_single_term(self):
-        assert limit_constant_fraction(1) == 2
-        with pytest.raises(ValueError, match="terms must be at least 1"):
-            limit_constant_fraction(0)
-
-    def test_matches_per_factor_reference(self):
-        for terms in range(1, 201):
-            assert limit_constant_fraction(terms) == reference_limit_product(terms)
-
-    def test_partial_products_increase_and_stay_bounded(self):
-        bound = Fraction(34627466196, 10 ** 10)
-        previous = Fraction(0)
-        for terms in range(1, 81):
-            value = limit_constant_fraction(terms)
-            assert previous < value < bound
-            previous = value
-
     def test_first_digits(self):
         assert limit_constant_digits(10) == "3462746619"
         assert limit_constant_digits(13) == "3462746619455"
@@ -176,27 +158,10 @@ class TestLimitConstant:
     def test_digits_equal_the_fraction_bounds(self, count):
         assert limit_constant_digits(count) == reference_limit_digits(count)
 
-    def test_three_significant_figures(self):
-        assert format_fixed(limit_constant_fraction(64), 2) == "3.46"
-
-    def test_decimal_digit_helper(self):
-        assert decimal_digits(Fraction(1, 8), 5) == "01250"
-        assert decimal_digits(Fraction(22, 7), 6) == "314285"
-        with pytest.raises(ValueError):
-            decimal_digits(Fraction(-1, 2), 3)
+    def test_one_digit_at_least(self):
+        assert limit_constant_digits(1) == "3"
         with pytest.raises(ValueError, match="count must be at least 1"):
-            decimal_digits(Fraction(1, 2), 0)
-
-    def test_decimal_digits_match_long_division(self):
-        rng = random.Random(12)
-        values = [Fraction(0), Fraction(1), Fraction(1, 8), Fraction(10, 3),
-                  Fraction(123456789, 1000), limit_constant_fraction(90)]
-        for _ in range(200):
-            den = rng.randrange(1, 10 ** rng.randrange(1, 60))
-            values.append(Fraction(rng.randrange(0, 10 ** rng.randrange(1, 60)), den))
-        for value in values:
-            for count in range(1, 81):
-                assert decimal_digits(value, count) == reference_digits(value, count)
+            limit_constant_digits(0)
 
 
 class TestEstimateRows:
@@ -205,9 +170,11 @@ class TestEstimateRows:
         assert approx_theta(5) == Fraction(173, 800)
 
     def test_rounded_estimate_and_error_rows(self):
-        estimates = [format_fixed(approx_theta(b), 5) for b in range(2, 11)]
+        estimates = [
+            format_ratio(*approx_theta(b).as_integer_ratio(), 5) for b in range(2, 11)
+        ]
         errors = [
-            format_fixed(abs(theta_exact(b) - approx_theta(b)), 5)
+            format_ratio(*abs(theta_exact(b) - approx_theta(b)).as_integer_ratio(), 5)
             for b in range(2, 11)
         ]
         assert estimates == [
@@ -223,8 +190,9 @@ class TestEstimateRows:
         printed = references.theta_table()
         assert printed["estimate"][3] == "0.21675"
         assert printed["error"][3] == "0.00319"
-        assert format_fixed(approx_theta(5), 5) == "0.21625"
-        assert format_fixed(abs(theta_exact(5) - approx_theta(5)), 5) == "0.00369"
+        assert format_ratio(*approx_theta(5).as_integer_ratio(), 5) == "0.21625"
+        error = abs(theta_exact(5) - approx_theta(5))
+        assert format_ratio(*error.as_integer_ratio(), 5) == "0.00369"
 
     def test_estimate_converges_to_theta(self):
         for b in range(7, 17):
@@ -256,18 +224,18 @@ class TestConvergence:
             convergence_report(3, 2)
 
 
-class TestFormatFixed:
+class TestFormatRatio:
     def test_half_rounds_up(self):
-        assert format_fixed(Fraction(5, 10 ** 6), 5) == "0.00001"
-        assert format_fixed(Fraction(4, 10 ** 6), 5) == "0.00000"
-        assert format_fixed(Fraction(25, 1000), 2) == "0.03"
+        assert format_ratio(5, 10 ** 6, 5) == "0.00001"
+        assert format_ratio(4, 10 ** 6, 5) == "0.00000"
+        assert format_ratio(25, 1000, 2) == "0.03"
 
     def test_negative_values(self):
-        assert format_fixed(Fraction(-3, 16), 4) == "-0.1875"
+        assert format_ratio(-3, 16, 4) == "-0.1875"
 
     def test_negative_half_rounds_away_from_zero(self):
-        assert format_fixed(Fraction(-1, 8), 2) == "-0.13"
-        assert format_fixed(Fraction(1, 8), 2) == "0.13"
+        assert format_ratio(-1, 8, 2) == "-0.13"
+        assert format_ratio(1, 8, 2) == "0.13"
 
     def test_unreduced_pairs_format_as_their_value(self):
         rng = random.Random(30)
@@ -278,12 +246,12 @@ class TestFormatFixed:
             decimals = rng.randrange(0, 30)
             assert format_ratio(
                 value.numerator * scale, value.denominator * scale, decimals
-            ) == format_fixed(value, decimals)
+            ) == format_ratio(*value.as_integer_ratio(), decimals)
 
     def test_zero_decimals(self):
-        assert format_fixed(Fraction(5, 2), 0) == "3"
+        assert format_ratio(5, 2, 0) == "3"
         with pytest.raises(ValueError):
-            format_fixed(Fraction(1), -1)
+            format_ratio(1, 1, -1)
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(
@@ -301,7 +269,8 @@ class TestFormatFixed:
     @example(value=Fraction(-1, 2), decimals=0)
     @example(value=Fraction(-1, 3), decimals=40)
     def test_matches_scaled_fraction_rule(self, value, decimals):
-        assert format_fixed(value, decimals) == reference_fixed(value, decimals)
+        text = format_ratio(*value.as_integer_ratio(), decimals)
+        assert text == reference_fixed(value, decimals)
 
     def test_exact_ties_round_away_from_zero(self):
         rng = random.Random(40)
@@ -310,6 +279,6 @@ class TestFormatFixed:
                 odd = 2 * rng.randrange(0, 10 ** rng.randrange(1, 30)) + 1
                 for value in (Fraction(odd, 2 * 10 ** decimals),
                               Fraction(-odd, 2 * 10 ** decimals)):
-                    text = format_fixed(value, decimals)
+                    text = format_ratio(*value.as_integer_ratio(), decimals)
                     assert text == reference_fixed(value, decimals)
                     assert text.lstrip("-").replace(".", "").lstrip("0") == str(odd // 2 + 1)

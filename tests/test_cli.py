@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -211,13 +212,14 @@ class TestTheta:
         bases = range(2, max_b + 1)
         thetas = [asymptotics.theta_exact(b) for b in bases]
         estimates = [asymptotics.approx_theta(b) for b in bases]
+
+        def fixed(value):
+            return render.format_ratio(*value.as_integer_ratio(), decimals)
+
         expected = [
-            ["theta"] + [render.format_fixed(t, decimals) for t in thetas],
-            ["estimate"] + [render.format_fixed(e, decimals) for e in estimates],
-            ["error"] + [
-                render.format_fixed(abs(t - e), decimals)
-                for t, e in zip(thetas, estimates)
-            ],
+            ["theta"] + [fixed(t) for t in thetas],
+            ["estimate"] + [fixed(e) for e in estimates],
+            ["error"] + [fixed(abs(t - e)) for t, e in zip(thetas, estimates)],
         ]
         header, rows = cli.theta_table_rows(max_b, decimals)
         assert header == ["row"] + [f"b={b}" for b in bases]
@@ -841,6 +843,37 @@ class TestImports:
                 todo += [node.id for node in ast.walk(functions[name])
                          if isinstance(node, ast.Name) and node.id in functions]
             assert reached.isdisjoint({"theta_pairs", "theta_exact"}), root
+
+    def test_every_public_name_is_reached_outside_the_tests(self):
+        # a public name that only tests call is a second spelling to keep
+        package = ROOT / "src" / "dominotowers"
+        trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+                 for p in package.glob("*.py")}
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        used = set(re.findall(r"\w+", readme))
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(getattr(node, "ctx", None), ast.Store):
+                    continue
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+        unreached = []
+        for stem, tree in sorted(trees.items()):
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    names = [t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                             and isinstance(t.ctx, ast.Store)]
+                else:
+                    continue
+                unreached += [f"{stem}.{name}" for name in names
+                              if not name.startswith("_") and name not in used]
+        assert unreached == []
 
 
 class TestExitCodes:

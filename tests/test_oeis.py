@@ -96,19 +96,19 @@ class TestCompare:
     def test_convex_triangle_from_reference_table(self):
         flat = references.flatten_triangle("convex_counts.csv")
         result = compare_bfile("A275662", "c", bfile_text(flat))
-        assert result.ok
+        assert result.first_mismatch is None
         assert result.compared == result.matched == 55
         assert result.candidate == "rows b=1..n"
 
     def test_stack_triangle_from_reference_table(self):
         flat = references.flatten_triangle("stack_counts.csv")
         result = compare_bfile("A275204", "h", bfile_text(flat))
-        assert result.ok and result.compared == 55
+        assert result.first_mismatch is None and result.compared == 55
 
     def test_skew_triangle_from_reference_table(self):
         flat = references.flatten_triangle("skewed_counts.csv")
         result = compare_bfile("A275599", "r", bfile_text(flat))
-        assert result.ok and result.compared == 54
+        assert result.first_mismatch is None and result.compared == 54
 
     @pytest.mark.parametrize(
         "table, seq_id, family",
@@ -122,7 +122,7 @@ class TestCompare:
         cells = references.load_count_table(table).cells
         flat = [v for n, row in enumerate(cells, start=1) for v in row[: n - 1]]
         result = compare_bfile(seq_id, family, bfile_text(flat))
-        assert result.ok
+        assert result.first_mismatch is None
         assert result.candidate == "rows b=1..n-1"
         assert result.compared == 45
 
@@ -137,7 +137,7 @@ class TestCompare:
         monkeypatch.setattr(recurrences, "rows", counting)
         flat = references.flatten_triangle("convex_counts.csv")
         assert len(flat) == 55
-        assert compare_bfile("A275662", "c", bfile_text(flat)).ok
+        assert compare_bfile("A275662", "c", bfile_text(flat)).first_mismatch is None
         # 11 rows fill every reading: the dropped-diagonal one needs 55 of their cells
         assert len(calls) == 1
         family, max_b, max_n = calls[0]
@@ -191,14 +191,15 @@ class TestCompare:
         monkeypatch.setattr(recurrences.CountTable, "value", counting_value)
         monkeypatch.setattr(recurrences, "c", counting_c)
         for seq_id, (family, flat) in triangles.items():
-            assert compare_bfile(seq_id, family, bfile_text(flat)).ok
+            result = compare_bfile(seq_id, family, bfile_text(flat))
+            assert result.first_mismatch is None
         assert calls == []
 
     def test_detects_skipped_leading_zero_row(self):
         # same skew triangle but starting at the first non-zero row
         flat = references.flatten_triangle("skewed_counts.csv")
         result = compare_bfile("A275599", "r", bfile_text(flat[1:]))
-        assert result.ok
+        assert result.first_mismatch is None
         assert "leading zero rows skipped" in result.candidate
 
     def test_supporting_triangle(self):
@@ -206,18 +207,19 @@ class TestCompare:
 
         values = [g(p + 1, n) for n in range(1, 9) for p in range(1, n + 1)]
         result = compare_bfile("A117468", "g", bfile_text(values))
-        assert result.ok
+        assert result.first_mismatch is None
 
     def test_partition_totals_both_offsets(self):
         from dominotowers.recurrences import g
 
         totals = [sum(g(b, n) for b in range(2, n + 2)) for n in range(1, 21)]
-        assert compare_bfile("A034296", "partitions", bfile_text(totals)).ok
+        result = compare_bfile("A034296", "partitions", bfile_text(totals))
+        assert result.first_mismatch is None
         with_empty = [1] + totals
         result = compare_bfile(
             "A034296", "partitions", bfile_text(with_empty, start=0)
         )
-        assert result.ok and result.candidate == "totals from n=0"
+        assert result.first_mismatch is None and result.candidate == "totals from n=0"
 
     def test_partition_totals_grow_the_table_once(self, monkeypatch):
         from dominotowers.recurrences import g
@@ -232,7 +234,8 @@ class TestCompare:
 
         monkeypatch.setattr(recurrences, "_tables", {})
         monkeypatch.setattr(recurrences.CountTable, "ensure", counting)
-        assert compare_bfile("A034296", "partitions", bfile_text(totals)).ok
+        result = compare_bfile("A034296", "partitions", bfile_text(totals))
+        assert result.first_mismatch is None
         assert len(calls) <= 2
 
     def test_partition_totals_read_no_single_cells(self, monkeypatch):
@@ -248,7 +251,8 @@ class TestCompare:
 
         monkeypatch.setattr(recurrences, "_tables", {})
         monkeypatch.setattr(recurrences.CountTable, "value", counting)
-        assert compare_bfile("A034296", "partitions", bfile_text(totals)).ok
+        result = compare_bfile("A034296", "partitions", bfile_text(totals))
+        assert result.first_mismatch is None
         assert calls == []
 
     def test_term_cap(self):
@@ -257,24 +261,24 @@ class TestCompare:
         flat = [h(b, n) for n in range(1, 101) for b in range(1, n + 1)]
         assert len(flat) == 5050
         result = compare_bfile("A275204", "h", bfile_text(flat))
-        assert result.ok and result.compared == 4096
+        assert result.first_mismatch is None and result.compared == 4096
 
     def test_digit_cap(self):
         digits = [int(d) for d in limit_constant_digits(60)]
         result = compare_bfile("A065446", "constant", bfile_text(digits))
-        assert result.ok and result.compared == 40
+        assert result.first_mismatch is None and result.compared == 40
 
     def test_constant_digits(self):
         digits = [int(d) for d in limit_constant_digits(12)]
         result = compare_bfile("A065446", "constant", bfile_text(digits))
-        assert result.ok
+        assert result.first_mismatch is None
         assert digits[:10] == [3, 4, 6, 2, 7, 4, 6, 6, 1, 9]
 
     def test_mismatch_is_reported_with_index(self):
         flat = list(references.flatten_triangle("convex_counts.csv"))
         flat[20] += 1
         result = compare_bfile("A275662", "c", bfile_text(flat))
-        assert not result.ok
+        assert result.first_mismatch is not None
         assert result.matched == 54
         index, ours, theirs = result.first_mismatch
         assert index == 21
