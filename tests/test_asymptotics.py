@@ -158,6 +158,30 @@ class TestLimitConstant:
     def test_digits_equal_the_fraction_bounds(self, count):
         assert limit_constant_digits(count) == reference_limit_digits(count)
 
+    def test_matches_per_factor_reference(self):
+        for count in range(1, 81):
+            assert limit_constant_digits(count) == reference_limit_digits(count)
+
+    def test_partial_products_increase_and_stay_bounded(self):
+        below = Fraction(int(limit_constant_digits(12)), 10 ** 11)
+        above = below + Fraction(1, 10 ** 11)
+        previous = Fraction(0)
+        for terms in range(1, 81):
+            value = reference_limit_product(terms)
+            assert previous < value < above
+            previous = value
+        assert below < previous
+
+    def test_three_significant_figures(self):
+        assert limit_constant_digits(3) == "346"
+        partial = reference_limit_product(64)
+        assert format_ratio(*partial.as_integer_ratio(), 2) == "3.46"
+
+    def test_longer_counts_extend_shorter_ones(self):
+        longest = limit_constant_digits(120)
+        for count in range(1, 120):
+            assert limit_constant_digits(count) == longest[:count]
+
     def test_one_digit_at_least(self):
         assert limit_constant_digits(1) == "3"
         with pytest.raises(ValueError, match="count must be at least 1"):
