@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from math import prod
 from typing import NamedTuple
 
 from . import recurrences
@@ -108,24 +107,30 @@ def approx_theta(b: int) -> Fraction:
 def limit_constant_digits(count: int) -> str:
     """Stable decimal digits of the limiting product prod_k 2^k/(2^k - 1).
 
-    The tail beyond ``terms`` factors multiplies the partial product by at
-    most 1 + 2^(2-terms), so digits where the lower and upper bounds agree
-    are digits of the limit.  Both bounds stay unreduced integer pairs, and
-    since the limit lies in [1, 10) each bound's first ``count`` digits are
-    numerator * 10^(count-1) // denominator.
+    The product is 1/(q; q)_inf at q = 1/2, and Euler's pentagonal theorem
+    gives (q; q)_inf = sum_{k in Z} (-1)^k q^(k(3k-1)/2).  Scaled by 2^E,
+    every term with exponent e <= E is the exact integer +-2^(E-e); the
+    exponents are distinct, so the terms past E sum to less than 1 in size
+    and the scaled (q; q)_inf lies strictly between S - 1 and S + 1, with S
+    the integer sum.  Since the limit lies in [1, 10), its first ``count``
+    digits are 10^(count-1) * 2^E // (scaled value); where the quotients by
+    S + 1 and S - 1 agree they are certified, and otherwise E grows.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    scale = 10 ** (count - 1)
-    terms = max(64, 4 * count)
+    exponent = (333 * count + 99) // 100 + 64  # ceil(3.33 count) + 64 bits
     while True:
-        numerator = 2 ** (terms * (terms + 1) // 2) * scale
-        denominator = prod(2 ** k - 1 for k in range(1, terms + 1))
-        tail = 2 ** (terms - 2)
-        lo_digits = numerator // denominator
-        if lo_digits == numerator * (tail + 1) // (denominator * tail):
-            return str(lo_digits)
-        terms *= 2
+        total, k = 1 << exponent, 1
+        while k * (3 * k - 1) // 2 <= exponent:
+            for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if e <= exponent:
+                    total += (-1) ** k << (exponent - e)
+            k += 1
+        scaled = 10 ** (count - 1) << exponent
+        digits = scaled // (total + 1)
+        if digits == scaled // (total - 1):
+            return str(digits)
+        exponent *= 2
 
 
 class ConvergenceReport(NamedTuple):

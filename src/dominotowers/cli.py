@@ -8,6 +8,10 @@ Handlers check their arguments, raise and print results; ``main`` alone
 turns an exception into an exit code and an ``error: ...`` line on stderr,
 except that a reader closing stdout early gets exit 3 and no message.  The
 argument parser is built once per process and shared by every ``main`` call.
+When the first argument names a command, ``main`` hands the rest straight to
+that command's parser, so the tokens are parsed once; any other argument list
+(empty, ``-h``, an unknown word, an option first) goes through the top-level
+parser, the only one that prints top-level help and usage errors.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ THETA_MAX_B = 128  # bounds the table: 128 bases at 1000 decimals print 383 kB
 THETA_MAX_DECIMALS = 1000
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, shared by every call.
 
@@ -45,6 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
     Handlers are looked up in ``main``, not bound here, so a ``cmd_*``
     replaced after the first build still runs.
     """
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, built once."""
     parser = argparse.ArgumentParser(
         prog="dominotowers",
         description="Count, enumerate, and verify convex domino towers.",
@@ -92,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis.add_argument("--family", choices=oeis.FAMILY_CHOICES, default=None)
     p_oeis.add_argument("--bfile", required=True)
 
-    return parser
+    return parser, sub.choices
 
 
 def cmd_count(args) -> int:
@@ -272,7 +281,17 @@ def cmd_oeis_check(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _parsers()[1].get(argv[0]) if argv else None
+    if command is None:
+        args = build_parser().parse_args(argv)
+    else:
+        # what parse_args would do, minus its pass that only picks the command
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     handlers = {
         "count": cmd_count,
         "table": cmd_table,

@@ -7,7 +7,9 @@ is the honest one; the discrepancy itself is asserted so it stays visible.
 
 The integer kernels (theta_pairs, theta_exact, limit_constant_digits,
 format_ratio) are also compared with per-factor Fraction and digit-by-digit
-references written out below, one step per factor or digit.
+references written out below, one step per factor or digit.  The limit
+constant, summed by Euler's pentagonal theorem, has two such references:
+the product's Fraction bounds and the partition-number series.
 """
 
 import random
@@ -58,6 +60,29 @@ def reference_limit_digits(count):
     while True:
         lo = reference_limit_product(terms)
         hi = lo * (1 + Fraction(1, 2 ** (terms - 2)))
+        if reference_digits(lo, count) == reference_digits(hi, count):
+            return reference_digits(lo, count)
+        terms *= 2
+
+
+def reference_partition_digits(count):
+    """Digits of sum_n p(n) 2^(-n), with p(n) from the parts DP.
+
+    A third route to 1/(q; q)_inf at q = 1/2, apart from both the product
+    and Euler's pentagonal theorem (so not Euler's recurrence for p either).
+    Tail: with r = 15/16, each p(n) r^n is at most 1/(r; r)_inf, whose log
+    sum_m r^m/(m (1 - r^m)) is at most r/(1 - r) * pi^2/6 < 24.7 < 36 ln 2
+    (as 1 - r^m >= m r^(m-1) (1 - r)).  So p(n) < 2^36 (16/15)^n, and the
+    terms past N sum to less than 2^36 (15/7) (8/15)^(N+1) < 2^38 (8/15)^(N+1).
+    """
+    terms = 10 * ((333 * count + 99) // 100 + 48) // 9
+    while True:
+        p = [1] + [0] * terms
+        for part in range(1, terms + 1):
+            for n in range(part, terms + 1):
+                p[n] += p[n - part]
+        lo = Fraction(sum(p_n << (terms - n) for n, p_n in enumerate(p)), 2 ** terms)
+        hi = lo + Fraction(2 ** 38 * 8 ** (terms + 1), 15 ** (terms + 1))
         if reference_digits(lo, count) == reference_digits(hi, count):
             return reference_digits(lo, count)
         terms *= 2
@@ -157,6 +182,9 @@ class TestLimitConstant:
     @pytest.mark.parametrize("count", [1, 40, 60, 200])
     def test_digits_equal_the_fraction_bounds(self, count):
         assert limit_constant_digits(count) == reference_limit_digits(count)
+
+    def test_digits_equal_the_partition_sum(self):
+        assert limit_constant_digits(1000) == reference_partition_digits(1000)
 
     def test_matches_per_factor_reference(self):
         for count in range(1, 81):

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes, golden bytes."""
 
+import argparse
 import ast
 import hashlib
 import os
@@ -644,6 +645,45 @@ class TestOeisCheck:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+PARSE_CORPUS = [
+    # each command, valid
+    ["count", "h", "--b", "3", "--n", "10"],
+    ["table", "c", "--max-n", "6", "--max-b", "3", "--format", "markdown"],
+    ["theta", "--max-b", "4", "--decimals", "3"],
+    ["verify", "--max-n", "4"],
+    ["enumerate", "--n", "4", "--b", "2"],
+    ["series", "r", "--b", "3", "--order", "8", "--method", "closed-form"],
+    ["oeis-check", "A275662", "--family", "c", "--bfile", "b.txt"],
+    # --opt=value forms and abbreviations
+    ["count", "g", "--b=3", "--n=10", "--k=3"],
+    ["table", "h", "--max-n=4", "--max-b", "2", "--fo", "md"],
+    ["table", "h", "--max-n", "4", "--max-b", "2", "--fo", "tsv"],
+    ["count", "h", "--b", "3", "--n", "10", "--he"],
+    ["table", "h", "--max", "5", "--max-b", "2"],
+    # -- before, among and after the options
+    ["count", "--", "h", "--b", "3", "--n", "10"],
+    ["count", "h", "--b", "3", "--", "--n", "10"],
+    ["count", "h", "--b", "3", "--n", "10", "--"],
+    ["oeis-check", "--bfile", "b.txt", "--", "A275662"],
+    # usage errors inside a command
+    ["count", "h", "--b", "3", "--n", "10", "--x", "1"],
+    ["count", "h", "extra", "--b", "3", "--n", "10"],
+    ["count", "h", "--b", "3"],
+    ["count", "h", "--b", "three", "--n", "10"],
+    ["count"],
+    # help at both levels
+    ["-h"],
+    ["--he"],
+    ["verify", "-h"],
+    ["verify", "--max-n", "4", "-h"],
+    # argument lists the top-level parser handles alone
+    [],
+    ["Count", "h", "--b", "3", "--n", "10"],
+    ["-x", "count", "h", "--b", "3", "--n", "10"],
+    ["--", "count", "h", "--b", "3", "--n", "10"],
+]
+
+
 class TestParser:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
@@ -653,6 +693,52 @@ class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+    def test_dispatch_parses_as_the_top_level_parser(self, capsys, monkeypatch, argv):
+        # main hands a known command's tokens to its own parser; the result
+        # must be what the two-pass parse_args gives: the same namespace, or
+        # the same exit code and bytes on stdout and stderr
+        parsed = []
+
+        def record(args):
+            parsed.append(args)
+            return 0
+
+        for name in ("count", "table", "theta", "verify", "enumerate", "series",
+                     "oeis_check"):
+            monkeypatch.setattr(cli, f"cmd_{name}", record)
+
+        def outcome(call):
+            try:
+                code = call()
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        got = outcome(lambda: main(list(argv)))
+        expected = outcome(lambda: record(build_parser().parse_args(argv)))
+        if parsed:
+            assert len(parsed) == 2 and vars(parsed[0]) == vars(parsed[1])
+            assert got == expected == (0, "", "")
+        else:
+            assert got == expected and got[0] in (0, 2)
+
+    def test_one_parse_per_call(self, capsys, monkeypatch):
+        argv = ["count", "h", "--b", "2", "--n", "4"]
+        main(argv)  # warm: the parser is built and the table is filled
+        calls = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert main(argv) == 0
+        assert calls == ["dominotowers count"]
+        assert capsys.readouterr().out == f"{recurrences.h(2, 4)}\n" * 2
 
 
 def fresh_process(argv):
