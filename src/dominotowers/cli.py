@@ -256,7 +256,7 @@ def cmd_series(args) -> int:
         "r": lambda: series.build_R(args.b, args.order, args.method),
         "c": lambda: series.build_C(args.b, args.order),
     }
-    coeffs = builders[args.family]().coeffs
+    coeffs = builders[args.family]()
     pairs = tuple(chain.from_iterable(enumerate(coeffs)))
     sys.stdout.write("%d %d\n" * len(coeffs) % pairs)
     return 0

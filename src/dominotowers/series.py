@@ -21,9 +21,9 @@ differences, so the two routes share no formulation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import accumulate
 from operator import add
-from typing import NamedTuple
 
 CLOSED_FORM = "closed-form"
 FUNCTIONAL = "functional"
@@ -32,40 +32,22 @@ _METHODS = (CLOSED_FORM, FUNCTIONAL)
 MAX_CLOSED_FORM_B = 12
 
 
-class _Coeffs(NamedTuple):
-    coeffs: tuple[int, ...]
-
-
-class TruncatedSeries(_Coeffs):
-    """Coefficients 0..order of a formal power series."""
+class TruncatedSeries(tuple):
+    """Coefficients 0..order of a formal power series: s[n] is coefficient n."""
 
     __slots__ = ()
 
-    def __new__(cls, coeffs: tuple[int, ...]) -> "TruncatedSeries":
-        if not coeffs:
+    def __new__(cls, coeffs: Iterable[int]) -> "TruncatedSeries":
+        self = super().__new__(cls, coeffs)
+        if not self:
             raise ValueError("a series needs at least the constant coefficient")
-        return super().__new__(cls, coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
-
-    def __mul__(self, other):
-        """Scalar multiple, kept because ``bench/tracer.py`` wraps it at install."""
-        if not isinstance(other, int):
-            return NotImplemented
-        return TruncatedSeries(tuple(other * a for a in self.coeffs))
-
-    __rmul__ = __mul__
+        return self
 
     def __add__(self, other):
-        """Refused: the tuple base would concatenate the coefficient lists."""
+        """Refused: the tuple base would concatenate or repeat the coefficients."""
         return NotImplemented
+
+    __mul__ = __rmul__ = __add__
 
 
 def _filter(a: int, lam: int, coeffs) -> list[int]:
@@ -119,7 +101,7 @@ def build_G(b: int, order: int) -> TruncatedSeries:
     """
     _check(b, order)
     one = [1] + [0] * order
-    return TruncatedSeries(tuple(_supporting_chain(b, one, [0] * (order + 1))))
+    return TruncatedSeries(_supporting_chain(b, one, [0] * (order + 1)))
 
 
 def _subset_sum(term: list[int], shift: int, low: int, above: int, lam: int, weight, total):
@@ -176,10 +158,10 @@ def build_H(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     """Stack series for base b."""
     _check(b, order, method)
     if method == CLOSED_FORM:
-        return TruncatedSeries(tuple(_closed_H(b, order)))
+        return TruncatedSeries(_closed_H(b, order))
     for h in _stacks(b, order):  # keep one H_i alive at a time, not all b
         pass
-    return TruncatedSeries(tuple(h))
+    return TruncatedSeries(h)
 
 
 def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
@@ -191,11 +173,11 @@ def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     """
     _check(b, order, method)
     if method == FUNCTIONAL:
-        return TruncatedSeries(tuple(_stack_and_skew(b, order)[1]))
+        return TruncatedSeries(_stack_and_skew(b, order)[1])
     total = [0] * max(order + 1 - b, 0)  # summed below the outer factor x^b
     for j in range(1, min(b, order - b) + 1):  # H_j lies at x^j and up
         _subset_sum(_closed_H(j, order - b)[j:], j, j, b, 2, lambda up, k: 2, total)
-    return TruncatedSeries(tuple(_filter(b, 2, total + [0] * (order + 1 - len(total)))))
+    return TruncatedSeries(_filter(b, 2, total + [0] * (order + 1 - len(total))))
 
 
 def build_C(b: int, order: int) -> TruncatedSeries:
@@ -203,4 +185,4 @@ def build_C(b: int, order: int) -> TruncatedSeries:
     _check(b, order)
     h, r = _stack_and_skew(b, order)
     right = [2 * x + v for x, v in zip(r, h)]
-    return TruncatedSeries(tuple(_supporting_chain(b, right, right)))
+    return TruncatedSeries(_supporting_chain(b, right, right))

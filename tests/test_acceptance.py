@@ -182,7 +182,7 @@ def test_criterion_07_series_cross_validation():
         for n in range(0, 31):
             for family, s in built.items():
                 expected = recurrences.family_value(family, b, n)
-                if s.coefficient(n) != expected:
+                if s[n] != expected:
                     problems.append(f"{family} series ({b},{n})")
     for b in range(1, 7):
         if series.build_H(b, 20, series.CLOSED_FORM) != series.build_H(
@@ -268,7 +268,7 @@ def test_criterion_11_block_length_reduction():
                   "r": series.build_R(b, 12)}
         for family, s in routes.items():
             for n in range(0, 13):
-                if recurrences.family_value(family, b, n, 2) != s.coefficient(n):
+                if recurrences.family_value(family, b, n, 2) != s[n]:
                     problems.append(f"{family} ({b},{n})")
     check(11, "generalized recurrences at k=2 equal the domino series", 1.0,
           problems, started)
