@@ -34,11 +34,13 @@ def test_named_tests_exist(mutant):
     for test_id in mutant.tests:
         path, *names = test_id.split("::")
         assert (ROOT / path).is_file(), test_id
-        tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
-        defined = {
-            node.name
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-        }
+        body = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
         for name in names:
-            assert re.sub(r"\[.*\]$", "", name) in defined, test_id
+            name = re.sub(r"\[.*\]$", "", name)
+            found = [
+                node
+                for node in body
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+            ]
+            assert found, test_id
+            body = found[0].body

@@ -8,8 +8,7 @@ All the ids first run once on an unedited copy, where they must pass, so a
 renamed or broken test cannot count as a kill.  Exit status 1 when any
 mutant survives or the unedited run fails.  Standard library only.
 
-    python3 tools/mutants.py           # every entry
-    python3 tools/mutants.py NAME ...  # the named entries
+    python3 tools/mutants.py
 """
 
 from __future__ import annotations
@@ -186,26 +185,20 @@ def run(mutant: Mutant | None, tests) -> int:
 
 
 def main() -> int:
-    names = sys.argv[1:]
-    unknown = sorted(set(names) - {m.name for m in REGISTER})
-    if unknown:
-        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in REGISTER if not names or m.name in names]
     started = time.monotonic()
-    tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+    tests = list(dict.fromkeys(t for m in REGISTER for t in m.tests))
     status = run(None, tests)
     print(f"unedited copy: pytest exit {status} on {len(tests)} ids")
     if status != 0:
         return 1
     survivors = []
-    for mutant in chosen:
+    for mutant in REGISTER:
         status = run(mutant, mutant.tests)
         print(f"{mutant.name}: {'killed' if status else 'SURVIVED'} (pytest exit {status})")
         if not status:
             survivors.append(mutant.name)
     print(
-        f"{len(chosen) - len(survivors)} of {len(chosen)} killed"
+        f"{len(REGISTER) - len(survivors)} of {len(REGISTER)} killed"
         f" in {time.monotonic() - started:.1f} s"
     )
     return 1 if survivors else 0
