@@ -21,7 +21,7 @@ import os
 import sys
 from collections import Counter
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from math import comb
 
 from . import asymptotics, model, oeis, recurrences, series
@@ -237,9 +237,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    write = sys.stdout.write
-    for line in tower_lines(args.n, args.b):
-        write(f"{line}\n")
+    lines = tower_lines(args.n, args.b)
+    while batch := list(islice(lines, 1024)):
+        sys.stdout.write("\n".join(batch) + "\n")
     return 0
 
 

@@ -41,8 +41,10 @@ same level sets, and ``census(n)`` counts them in one pass, classifying only
 convex towers.  ``tower_lines`` carries each partial tower's cells as sorted
 integer keys (x + n)*n + y, merging in each new level's keys from the
 ``_level_keys`` memo; a leaf's smallest key gives its leftmost column, which
-picks the text table that reads the keys in canonical position.  The streams
-check their arguments in ``_bases`` when the first item is asked for.
+picks the text table that reads the keys in canonical position.  Most towers
+end in a run of one-domino levels, so a frame left with one domino pushes no
+child: its leaves come from the ``_last_keys`` memo in an inner loop.  The
+streams check their arguments in ``_bases`` when the first item is asked for.
 """
 
 from __future__ import annotations
@@ -139,6 +141,14 @@ def _level_keys(level: tuple[int, ...], y: int, n: int) -> tuple[int, ...]:
 
 
 @cache
+def _last_keys(below: tuple[int, ...], y: int, n: int) -> tuple[int, ...]:
+    """Left-cell keys at height y of ``_level_sets(below, 1)``'s levels, in its
+    order; the right cell's key is n more.  A lone domino needs only support,
+    so the keys are read off ``below`` and that memo is not filled for them."""
+    return tuple(sorted({(p + dx + n) * n + y for p in below for dx in (-1, 0, 1)}))
+
+
+@cache
 def _texts(n: int) -> tuple[tuple[str, ...], ...]:
     # A level stays within one cell of the level below on either side, and
     # one domino reaches only one side, so the leftmost column is above
@@ -161,12 +171,18 @@ def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
         for chosen, left in children:
             grown = [*keys, *_level_keys(chosen, y, n)]
             grown.sort()
-            if left:
+            if left == 1:  # every level above is a one-domino leaf
+                for low in _last_keys(chosen, y + 1, n):
+                    cells = [*grown, low, low + n]
+                    cells.sort()
+                    yield " ".join(itemgetter(*cells)(tables[cells[0] // n]))
+            elif left:
                 stack.append((iter(_level_sets(chosen, left)), y + 1, grown))
                 break
-            # the smallest key is in the leftmost column; a tower has
-            # at least two keys, so itemgetter gives a tuple, not an item
-            yield " ".join(itemgetter(*grown)(tables[grown[0] // n]))
+            else:
+                # the smallest key is in the leftmost column; a tower has
+                # at least two keys, so itemgetter gives a tuple, not an item
+                yield " ".join(itemgetter(*grown)(tables[grown[0] // n]))
         else:
             stack.pop()
 

@@ -57,17 +57,20 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     entries: list[tuple[int, int]] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         parts = line.split()
         if len(parts) != 2:
             raise BFileError(line_number, f"expected 'index value', got {raw!r}")
-        for field in parts:
-            if len(field) > TERM_DIGIT_CAP and (
-                sum(map(str.isdecimal, field)) > TERM_DIGIT_CAP
-            ):
-                raise BFileError(line_number, f"field over {TERM_DIGIT_CAP} digits")
+        if len(line) > TERM_DIGIT_CAP:
+            for field in parts:
+                if sum(map(str.isdecimal, field)) > TERM_DIGIT_CAP:
+                    raise BFileError(line_number, f"field over {TERM_DIGIT_CAP} digits")
         try:
+            # a field is ASCII digits after an optional "-", and int() alone
+            # would also take "+", "_" and other scripts' digits
+            if "_" in line or "+" in line or not (parts[0] + parts[1]).isascii():
+                raise ValueError
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise BFileError(line_number, f"non-integer field in {raw!r}") from None

@@ -458,6 +458,16 @@ class TestEnumerate:
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "n, b, lines", [(1, None, 1), (6, None, 1024), (8, 4, 1365)],
+        ids=["one-line", "one-full-batch", "full-and-part-batch"],
+    )
+    def test_batches_keep_the_str_stream(self, capsys, n, b, lines):
+        argv = ["enumerate", "--n", str(n)] + ([] if b is None else ["--b", str(b)])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("\n") == lines
+        assert out == "".join(f"{t}\n" for t in enumerator.enumerate_towers(n, b))
+
     def test_closed_pipe_exits_three_quietly(self):
         argv = [sys.executable, "-m", "dominotowers", "enumerate", "--n", "9"]
         with subprocess.Popen(

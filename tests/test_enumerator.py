@@ -182,6 +182,27 @@ class TestNodeWork:
             )
             assert list(real(below, budget)) == want, (below, budget)
 
+    def test_last_keys_are_the_one_domino_levels(self, monkeypatch):
+        enumerator._last_keys.cache_clear()
+        asked = set()
+        real = enumerator._last_keys
+
+        def recording(below, y, n):
+            asked.add((below, y, n))
+            return real(below, y, n)
+
+        monkeypatch.setattr(enumerator, "_last_keys", recording)
+        for n in range(1, 9):
+            for _ in tower_lines(n):
+                pass
+        # every entry the walks put in the memo is checked
+        assert len(asked) == real.cache_info().currsize > 100
+        for below, y, n in asked:
+            # the left cell's key; the right cell's, at x + 1, is n more
+            levels = enumerator._level_sets(below, 1)
+            want = tuple((x + n) * n + y for (x,), _ in levels)
+            assert real(below, y, n) == want, (below, y, n)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_anchored_levels_are_a_normal_form(self, n):
         # the base never moves, so distinct towers have distinct levels

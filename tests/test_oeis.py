@@ -63,6 +63,18 @@ class TestParse:
             parse_bfile("1 3\n5 abc\n")
         assert info.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "field", ["1_000", "+4", "\u0663", "\uff15"],
+        ids=["underscore", "plus-sign", "arabic-indic-digit", "fullwidth-digit"],
+    )
+    def test_rejects_what_int_reads_but_no_bfile_holds(self, field):
+        with pytest.raises(BFileError, match="non-integer field") as info:
+            parse_bfile(f"1 3\n2 {field}\n")
+        assert info.value.line_number == 2
+
+    def test_negative_value(self):
+        assert parse_bfile("1 -5\n2 0\n") == [(1, -5), (2, 0)]
+
     def test_wrong_field_count(self):
         with pytest.raises(BFileError):
             parse_bfile("1 2 3\n")

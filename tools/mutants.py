@@ -156,6 +156,20 @@ REGISTER = (
         "stack.append((iter(_level_sets(chosen, left)), y + 1, grown))\n",
         ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
     ),
+    Mutant(
+        "tower-lines-last-level-one-row-low",
+        "src/dominotowers/enumerator.py",
+        "_last_keys(chosen, y + 1, n)",
+        "_last_keys(chosen, y, n)",
+        ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
+    ),
+    Mutant(
+        "enumerate-batch-drops-its-last-newline",
+        "src/dominotowers/cli.py",
+        '"\\n".join(batch) + "\\n"',
+        '"\\n".join(batch)',
+        ("tests/test_cli.py::TestEnumerate::test_golden_stream",),
+    ),
 )
 
 
