@@ -52,18 +52,14 @@ class TowerClass(Enum):
 Levels = tuple[tuple[int, ...], ...]
 
 
-class _Levels(NamedTuple):
-    levels: Levels
+class TowerShape(tuple):
+    """A finite, canonically translated set of dominoes: the tuple of its levels.
 
-
-class TowerShape(_Levels):
-    """A finite, canonically translated set of dominoes, stored by level.
-
-    ``levels`` holds the left cells of the dominoes on each level, bottom to
+    ``shape[y]`` holds the left cells of the dominoes on level y, bottom to
     top, each level sorted and the smallest left cell translated to 0.
     Construction does not enforce tower validity; ``validate`` is the total
-    predicate for that.  Identity, equality, and hashing use ``levels``,
-    which for canonical shapes is one-to-one with the sorted cell list.
+    predicate for that.  Equality, hashing and order are the levels' own,
+    which for canonical shapes are one-to-one with the sorted cell list.
     The class declares no ``__slots__``: its instances keep a ``__dict__``
     for the cached properties.
     """
@@ -91,35 +87,35 @@ class TowerShape(_Levels):
     @property
     def dominoes(self) -> tuple[tuple[int, int], ...]:
         """The (x, y) left cells of the dominoes, sorted."""
-        return tuple(sorted((x, y) for y, row in enumerate(self.levels) for x in row))
+        return tuple(sorted((x, y) for y, row in enumerate(self) for x in row))
 
     @property
     def n(self) -> int:
-        return sum(len(row) for row in self.levels)
+        return sum(len(row) for row in self)
 
     @cached_property
     def cells(self) -> frozenset[tuple[int, int]]:
         return frozenset(
-            (x + dx, y) for y, row in enumerate(self.levels) for x in row for dx in (0, 1)
+            (x + dx, y) for y, row in enumerate(self) for x in row for dx in (0, 1)
         )
 
     @cached_property
     def convex(self) -> bool:
         """Row and column convexity of the occupied cells, computed once per shape."""
-        return _convex(self.levels)
+        return _convex(self)
 
     @property
     def max_row_b(self) -> int:
-        return max(map(len, self.levels))
+        return max(map(len, self))
 
     @property
     def top_row_b(self) -> int:
-        return len(self.levels[-1])
+        return len(self[-1])
 
     def mirror(self) -> "TowerShape":
         """Reflection across a vertical axis, re-canonicalized."""
         return TowerShape.from_levels(
-            tuple(tuple(-x - 1 for x in reversed(row)) for row in self.levels)
+            tuple(tuple(-x - 1 for x in reversed(row)) for row in self)
         )
 
     def __str__(self) -> str:
@@ -129,16 +125,15 @@ class TowerShape(_Levels):
 
 def validate(shape: TowerShape) -> bool:
     """Total predicate: contiguous base, no overlaps, every block supported."""
-    levels = shape.levels
-    if not levels or not all(levels):
+    if not shape or not all(shape):
         return False
-    base = levels[0]
+    base = shape[0]
     # the constructors shift to canonical position; TowerShape(levels) does not.
     # With the rows checked below, a span of 2b cells is a contiguous base.
-    if min(row[0] for row in levels) != 0 or base[-1] - base[0] != 2 * len(base) - 2:
+    if min(row[0] for row in shape) != 0 or base[-1] - base[0] != 2 * len(base) - 2:
         return False
     below = -1  # every cell of the ground is occupied
-    for row in levels:
+    for row in shape:
         cells = 0  # bit x for cell x of this row
         for x in row:
             # an occupied cell at or right of x is an overlap or an unsorted
@@ -191,7 +186,7 @@ def is_supporting(shape: TowerShape) -> bool:
     cell on each side.  Any other placement of an equal-length row breaks
     convexity once the wider row above is added.
     """
-    return shape.convex and _supporting(shape.levels)
+    return shape.convex and _supporting(shape)
 
 
 def classify(shape: TowerShape) -> TowerClass:
@@ -206,17 +201,16 @@ def classify(shape: TowerShape) -> TowerClass:
     """
     if not shape.convex:
         return TowerClass.NON_CONVEX
-    levels = shape.levels
-    lo, hi = levels[0][0], levels[0][-1]
-    if all(row[0] >= lo and row[-1] <= hi for row in levels):
+    lo, hi = shape[0][0], shape[0][-1]
+    if all(row[0] >= lo and row[-1] <= hi for row in shape):
         return TowerClass.STACK
-    if len(levels[0]) == shape.max_row_b and all(
-        up[0] >= row[0] - 1 and up[-1] <= row[-1] + 1 for row, up in zip(levels, levels[1:])
+    if len(shape[0]) == shape.max_row_b and all(
+        up[0] >= row[0] - 1 and up[-1] <= row[-1] + 1 for row, up in zip(shape, shape[1:])
     ):
-        if any(row[-1] > hi for row in levels):
+        if any(row[-1] > hi for row in shape):
             return TowerClass.RIGHT_SKEWED
         return TowerClass.LEFT_SKEWED
-    if _supporting(levels):
+    if _supporting(shape):
         return TowerClass.SUPPORTING
     return TowerClass.CONVEX_OTHER
 
@@ -239,13 +233,12 @@ def dissect(shape: TowerShape) -> Dissection:
         raise ValueError("dissect requires a valid tower")
     if not shape.convex:
         raise ValueError("dissect requires a convex tower")
-    levels = shape.levels
-    widths = [*map(len, levels)]
+    widths = [*map(len, shape)]
     level = widths.index(max(widths))
-    upper = TowerShape.from_levels(levels[level:])
+    upper = TowerShape.from_levels(shape[level:])
     if level == 0:
         return Dissection(None, upper)
-    return Dissection(TowerShape.from_levels(levels[:level]), upper)
+    return Dissection(TowerShape.from_levels(shape[:level]), upper)
 
 
 def recombine(dissection: Dissection) -> TowerShape:
@@ -253,6 +246,6 @@ def recombine(dissection: Dissection) -> TowerShape:
     upper = dissection.upper
     if lower is None:
         return upper
-    dx = lower.levels[-1][0] - 1 - upper.levels[0][0]
-    placed = tuple([tuple([x + dx for x in row]) for row in upper.levels])
-    return TowerShape.from_levels(lower.levels + placed)
+    dx = lower[-1][0] - 1 - upper[0][0]
+    placed = tuple([tuple([x + dx for x in row]) for row in upper])
+    return TowerShape.from_levels(lower + placed)

@@ -64,7 +64,7 @@ class TestEnumerate:
         for n in range(1, 9):
             for t in enumerate_towers(n):
                 assert validate(t)
-                assert TowerShape.from_levels(t.levels).levels == t.levels
+                assert TowerShape.from_levels(t) == t
 
     def test_level_sets_are_computed_once_per_row_and_budget(self, monkeypatch):
         # 4^8 = 65536 towers at n = 9 ask for level sets some 21000 times,

@@ -114,13 +114,13 @@ def _supporting_steps(spans: Spans, lengths: list[int]) -> bool:
 
 
 def reference_is_supporting(shape: TowerShape) -> bool:
-    return _solid_rows(shape.levels) and _supporting_steps(*_profile(shape.levels))
+    return _solid_rows(shape) and _supporting_steps(*_profile(shape))
 
 
 def reference_classify(shape: TowerShape) -> TowerClass:
     if not shape.convex:
         return TowerClass.NON_CONVEX
-    spans, lengths = _profile(shape.levels)
+    spans, lengths = _profile(shape)
     if _on_base(spans):
         return TowerClass.STACK
     if _right_skew_from(spans, lengths, 0):
@@ -132,9 +132,8 @@ def reference_classify(shape: TowerShape) -> TowerClass:
     return TowerClass.CONVEX_OTHER
 
 
-def reference_validate(shape: TowerShape) -> bool:
+def reference_validate(levels: TowerShape) -> bool:
     """The set-based validity test that per-row bitmasks replaced."""
-    levels = shape.levels
     if not levels or not all(levels):
         return False
     if min(row[0] for row in levels) != 0:
@@ -154,23 +153,29 @@ def reference_validate(shape: TowerShape) -> bool:
 
 
 def assert_matches_reference(t: TowerShape) -> None:
-    assert classify(t) is reference_classify(t), t.levels
-    assert is_supporting(t) == reference_is_supporting(t), t.levels
+    assert classify(t) is reference_classify(t), t
+    assert is_supporting(t) == reference_is_supporting(t), t
 
 
 class TestShapeRecord:
     def test_levels_are_read_only(self):
         t = shape((0, 0), (1, 1))
-        with pytest.raises(AttributeError):
-            t.levels = ((0,),)
-        assert t.levels == ((0,), (1,))
+        with pytest.raises(TypeError):
+            t[0] = (5,)
+        assert t == ((0,), (1,))
 
     def test_repr_equality_and_hash_follow_levels(self):
         t = shape((2, 0), (3, 1))
-        assert repr(t) == "TowerShape(levels=((0,), (1,)))"
+        assert repr(t) == "((0,), (1,))"
         assert t.convex  # cached per instance, not part of equality
         same = TowerShape(((0,), (1,)))
         assert t == same and hash(t) == hash(same)
+        assert t == ((0,), (1,)) and hash(t) == hash(((0,), (1,)))
+
+    def test_list_of_levels_is_normalised(self):
+        t = TowerShape([(0,), (1,)])
+        expected = TowerShape.from_levels(((0,), (1,)))
+        assert t == expected and hash(t) == hash(expected)
 
 
 class TestSupportRule:
@@ -189,7 +194,7 @@ class TestSupportRule:
             for t in all_towers(n):
                 for x, y in t.dominoes:
                     if y:
-                        assert cell_supported(t.cells, (x, y)), (t.levels, x, y)
+                        assert cell_supported(t.cells, (x, y)), (t, x, y)
                         checked += 1
         assert checked > 1000
 
@@ -222,7 +227,7 @@ class TestValidate:
         positions = [(x, y) for y in range(2) for x in range(5)]
         for a, b in itertools.combinations(positions, 2):
             s = TowerShape.from_dominoes([a, b])
-            if validate(s) and len(s.levels[0]) == 1:
+            if validate(s) and len(s[0]) == 1:
                 found.add(s)
         assert len(found) == 3
 
@@ -253,7 +258,7 @@ class TestValidateAgainstSetReference:
                 rng.shuffle(row)
             levels.append(tuple(row))
         if all(levels) and rng.random() < 0.6:  # shift as from_levels does
-            return TowerShape.from_levels(tuple(levels)).levels
+            return TowerShape.from_levels(tuple(levels))
         return tuple(levels)
 
     def test_seeded_random_levels(self):
@@ -264,7 +269,7 @@ class TestValidateAgainstSetReference:
         for _ in range(25000):
             t = TowerShape(self.random_levels(rng))
             got = validate(t)
-            assert got == reference_validate(t), t.levels
+            assert got == reference_validate(t), t
             outcomes[got] += 1
         # both answers are common, so the draw exercises every check
         assert min(outcomes.values()) > 1000, outcomes
@@ -273,7 +278,7 @@ class TestValidateAgainstSetReference:
         for n in range(1, 9):
             for t in enumerate_towers(n):
                 assert validate(t) and reference_validate(t)
-                mirrored = TowerShape(tuple(row[::-1] for row in t.levels))
+                mirrored = TowerShape(tuple(row[::-1] for row in t))
                 assert validate(mirrored) == reference_validate(mirrored)
 
 
@@ -313,7 +318,7 @@ class TestEmptyLevel:
     ]
 
     def test_levels_keep_the_empty_level(self):
-        assert self.SHAPES[0].levels == ((0,), (), (0,))
+        assert self.SHAPES[0] == ((0,), (), (0,))
         assert not any(validate(t) for t in self.SHAPES)
 
     @pytest.mark.parametrize(
@@ -322,11 +327,11 @@ class TestEmptyLevel:
     )
     def test_predicate_is_false(self, predicate):
         for t in self.SHAPES:
-            assert predicate(t) is False, t.levels
+            assert predicate(t) is False, t
 
     def test_classify_is_non_convex(self):
         for t in self.SHAPES:
-            assert classify(t) is TowerClass.NON_CONVEX, t.levels
+            assert classify(t) is TowerClass.NON_CONVEX, t
 
 
 class TestClassify:
@@ -380,7 +385,7 @@ class TestClassify:
             for t in all_towers(n):
                 if not t.convex:
                     continue
-                lo, hi = t.levels[0][0], t.levels[0][-1] + 1
+                lo, hi = t[0][0], t[0][-1] + 1
                 on_base = all(
                     lo <= x <= hi for x, _ in t.cells
                 )
@@ -401,7 +406,7 @@ class TestAgainstSpanReference:
         checked = 0
         for n in (10, 11):
             for t in convex_towers(n):
-                assert classify(t) is reference_classify(t), t.levels
+                assert classify(t) is reference_classify(t), t
                 checked += 1
         assert checked == 5374 + 10912  # sum over b of recurrences.c(b, n)
 
@@ -425,11 +430,11 @@ class TestDissection:
 
     def test_large_example_split(self):
         d = dissect(CONVEX_18_4)
-        assert len(d.lower.levels) == 4
+        assert len(d.lower) == 4
         assert d.lower.n == 8
-        assert [len(row) for row in d.lower.levels] == [1, 2, 2, 3]
+        assert [len(row) for row in d.lower] == [1, 2, 2, 3]
         assert d.upper.n == 10
-        assert len(d.upper.levels[0]) == 4
+        assert len(d.upper[0]) == 4
         assert classify(d.upper) is TowerClass.STACK
         assert recombine(d) == CONVEX_18_4
 
@@ -471,16 +476,16 @@ class TestDissection:
         for n in range(1, 10):
             for t in convex_towers(n):
                 label = classify(t)
-                assert (label in upper_only) == (dissect(t).lower is None), t.levels
-                base = t.levels[0]
+                assert (label in upper_only) == (dissect(t).lower is None), t
+                base = t[0]
                 columns = [x for x, _ in t.cells]
                 if label in upper_only:
                     assert (label is TowerClass.RIGHT_SKEWED) == (
                         max(columns) > base[-1] + 1
-                    ), t.levels
+                    ), t
                     assert (label is TowerClass.LEFT_SKEWED) == (
                         min(columns) < base[0]
-                    ), t.levels
+                    ), t
 
     def test_mirror_swaps_skew_classes(self):
         for n in range(1, 7):

@@ -22,6 +22,14 @@ def test_names_are_unique():
     assert len(set(names)) == len(names)
 
 
+def test_register_covers_every_cross_checked_module():
+    modules = {Path(m.file).stem for m in mutants.REGISTER}
+    assert len(mutants.REGISTER) >= 20
+    assert {
+        "model", "enumerator", "recurrences", "series", "asymptotics", "oeis", "cli"
+    } <= modules
+
+
 @pytest.mark.parametrize("mutant", mutants.REGISTER, ids=lambda m: m.name)
 def test_old_text_occurs_once(mutant):
     assert mutant.old != mutant.new

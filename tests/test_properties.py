@@ -175,13 +175,13 @@ any_levels = st.one_of(
 
 
 def cells_of(t):
-    return {(x + dx, y) for y, row in enumerate(t.levels) for x in row for dx in (0, 1)}
+    return {(x + dx, y) for y, row in enumerate(t) for x in row for dx in (0, 1)}
 
 
 def is_convex_reference(t):
     """Every level occupied and every row and every column without a gap."""
     cells = cells_of(t)
-    if not all(t.levels):
+    if not all(t):
         return False
     lines = {}
     for x, y in cells:

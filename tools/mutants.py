@@ -106,6 +106,36 @@ REGISTER = (
         ),
     ),
     Mutant(
+        "from-levels-never-shifts",
+        "src/dominotowers/model.py",
+        "if shift:",
+        "if False:",
+        (
+            "tests/test_enumerator.py::TestEnumerate"
+            "::test_every_yield_is_valid_and_canonical",
+        ),
+    ),
+    Mutant(
+        "recombine-places-the-upper-part-one-cell-left",
+        "src/dominotowers/model.py",
+        "dx = lower[-1][0] - 1 - upper[0][0]",
+        "dx = lower[-1][0] - 2 - upper[0][0]",
+        (
+            "tests/test_model.py::TestDissection"
+            "::test_round_trip_and_parts_for_small_sizes",
+        ),
+    ),
+    Mutant(
+        "dissect-splits-at-the-highest-widest-row",
+        "src/dominotowers/model.py",
+        "level = widths.index(max(widths))",
+        "level = len(widths) - 1 - widths[::-1].index(max(widths))",
+        (
+            "tests/test_model.py::TestDissection"
+            "::test_upper_parts_are_the_towers_on_a_widest_base",
+        ),
+    ),
+    Mutant(
         "verify-order-check-allows-repeats",
         "src/dominotowers/cli.py",
         "prev < levels",
