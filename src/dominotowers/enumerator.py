@@ -39,20 +39,29 @@ anchored levels with its convexity flag, ``enumerate_towers(n, b=None)`` the
 canonical shapes, ``tower_lines(n, b=None)`` their ``str`` text from the
 same level sets, and ``census(n)`` counts them in one pass, classifying only
 convex towers.  ``tower_lines`` carries each partial tower's cells as sorted
-integer keys (x + n)*n + y, merging in each new level's keys from the
-``_level_keys`` memo; a leaf's smallest key gives its leftmost column, which
-picks the text table that reads the keys in canonical position.  Most towers
-end in a run of one-domino levels, so a frame left with one domino pushes no
-child: its leaves come from the ``_last_keys`` memo in an inner loop.  The
-streams check their arguments in ``_bases`` when the first item is asked for.
+integer keys (x + n)*n + y.  Its frames iterate ``_children`` records, a
+memo on (row, budget, y, n) holding, flat in one tuple, four items per
+level of ``_level_sets``: the level, its keys at height y (``_level_keys``),
+the budget after it and, when that is one domino, the left-cell keys of the
+one-domino levels above it (``_last_keys``), else None.  The records share
+the key memos' tuples and take the levels from ``_levels_on``, the function
+``_level_sets`` memoises, so no child makes a memo call of its own.  A
+leaf's smallest key gives its leftmost column, which picks the text table
+that reads the keys in canonical position.  Most towers end in a run of one-domino levels, so a
+frame left with one domino pushes no child: an inner loop reads the frame's
+cell texts once and inserts each top domino's two texts at their ``bisect``
+places among its keys, sorting afresh only for a top left of every cell,
+whose leftmost column picks another table.  The streams check their
+arguments in ``_bases`` when the first item is asked for.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from functools import cache
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .model import Levels, TowerClass, TowerShape, _convex_row, classify
 
@@ -60,8 +69,7 @@ DEFAULT_HARD_CAP = 12
 ORIGIN = -DEFAULT_HARD_CAP  # the mask column of bit 0; every level lies right of it
 
 
-@cache
-def _level_sets(
+def _levels_on(
     below: tuple[int, ...], max_size: int
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """``(level, left)`` for every level that ``below`` supports.
@@ -85,6 +93,10 @@ def _level_sets(
 
     rec(0, ())
     return tuple(out)
+
+
+# walk's memo; ``_children`` keeps the levels in its records instead
+_level_sets = cache(_levels_on)
 
 
 def _bases(n: int, b: int | None) -> list[tuple[tuple[int, ...], int]]:
@@ -160,28 +172,61 @@ def _texts(n: int) -> tuple[tuple[str, ...], ...]:
     return tuple(("",) * (j * n) + cells for j in range(n + 1))
 
 
+def _records(levels: Iterable[tuple[tuple[int, ...], int]], y: int, n: int) -> tuple:
+    """``(level, keys, left, tops)`` flat, four items per ``(level, left)`` pair:
+    the level's ``_level_keys`` at height y and, when ``left`` is 1, the
+    ``_last_keys`` above it (else None), each the memo's own tuple."""
+    out = []
+    for level, left in levels:
+        tops = _last_keys(level, y + 1, n) if left == 1 else None
+        out += level, _level_keys(level, y, n), left, tops
+    return tuple(out)
+
+
+@cache
+def _children(below: tuple[int, ...], left: int, y: int, n: int) -> tuple:
+    """``_records`` of ``_level_sets(below, left)``'s levels at height y.
+
+    The levels come from ``_levels_on`` unmemoised: the records keep them,
+    so a ``_level_sets`` entry would only be held beside its record."""
+    return _records(_levels_on(below, left), y, n)
+
+
 def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
     """``str(shape)`` for each shape of ``enumerate_towers(n, b)``, in order."""
-    bases = _bases(n, b)  # checked before the tables are built
+    it = iter(_records(_bases(n, b), 0, n))  # checked before the tables are built
     tables = _texts(n)
-    # walk's stack loop, each frame carrying its level's y and the keys
-    stack = [(iter(bases), 0, [])]
+    # walk's stack loop over ``_records``, each frame carrying its level's y
+    # and the keys below it
+    stack = [(zip(it, it, it, it), 0, [])]
     while stack:
         children, y, keys = stack[-1]
-        for chosen, left in children:
-            grown = [*keys, *_level_keys(chosen, y, n)]
+        for chosen, level_keys, left, tops in children:
+            grown = [*keys, *level_keys]
             grown.sort()
-            if left == 1:  # every level above is a one-domino leaf
-                for low in _last_keys(chosen, y + 1, n):
-                    cells = [*grown, low, low + n]
-                    cells.sort()
-                    yield " ".join(itemgetter(*cells)(tables[cells[0] // n]))
-            elif left:
-                stack.append((iter(_level_sets(chosen, left)), y + 1, grown))
-                break
-            else:
+            if tops:  # every level above is a one-domino leaf
                 # the smallest key is in the leftmost column; a tower has
                 # at least two keys, so itemgetter gives a tuple, not an item
+                texts = tables[grown[0] // n]
+                words = itemgetter(*grown)(texts)
+                for low in tops:
+                    if low < grown[0]:  # left of every cell: another table
+                        cells = [*grown, low, low + n]
+                        cells.sort()
+                        yield " ".join(itemgetter(*cells)(tables[low // n]))
+                        continue
+                    # the top is above every cell, so it sorts after each
+                    # key of its columns; the right cell goes in first, at
+                    # its place among the keys below
+                    line = list(words)
+                    line.insert(bisect(grown, low + n), texts[low + n])
+                    line.insert(bisect(grown, low), texts[low])
+                    yield " ".join(line)
+            elif left:
+                it = iter(_children(chosen, left, y + 1, n))
+                stack.append((zip(it, it, it, it), y + 1, grown))
+                break
+            else:
                 yield " ".join(itemgetter(*grown)(tables[grown[0] // n]))
         else:
             stack.pop()

@@ -61,16 +61,25 @@ class TowerShape(tuple):
     predicate for that.  Equality, hashing and order are the levels' own,
     which for canonical shapes are one-to-one with the sorted cell list.
     The class declares no ``__slots__``: its instances keep a ``__dict__``
-    for the cached properties.
+    for the cached properties.  Rows given as lists are stored as tuples.
     """
+
+    def __new__(cls, levels: Iterable[Iterable[int]] = ()) -> "TowerShape":
+        return tuple.__new__(cls, map(tuple, levels))
 
     @classmethod
     def from_levels(cls, levels: Levels) -> "TowerShape":
-        """Shape from sorted levels, translated so the smallest left cell is 0."""
-        shift = min([row[0] for row in levels if row])
+        """Shape from sorted levels, translated so the smallest left cell is 0.
+
+        The rows may be tuples or lists, as long as they are all of one kind.
+        """
+        # the least row starts at the smallest left cell, unless it is empty
+        low = min(levels)
+        shift = low[0] if low else min([row[0] for row in levels if row])
+        # the constructor's work, without its Python-level call
         if shift:
-            levels = tuple([tuple([x - shift for x in row]) for row in levels])
-        return cls(levels)
+            return tuple.__new__(cls, [tuple([x - shift for x in row]) for row in levels])
+        return tuple.__new__(cls, map(tuple, levels))
 
     @classmethod
     def from_dominoes(cls, dominoes: Iterable[tuple[int, int]]) -> "TowerShape":

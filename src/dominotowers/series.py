@@ -135,13 +135,15 @@ def _closed_H(b: int, order: int) -> list[int]:
 
 def _stacks(b: int, order: int):
     """Yield H_1..H_b from H_i = x^i/(1-x^i) * T_i, T_i = 1 + sum_{j<i} (2(i-j)+1) H_j,
-    carried as T_{i+1} = T_i + 2U_{i+1} + H_i with U_{i+1} = U_i + H_i, U_1 = 0."""
+    carried as T_{i+1} = T_i + 2U_{i+1} + H_i with U_{i+1} = U_i + H_i, U_1 = 0;
+    no carry follows H_b."""
     total, below = [1] + [0] * order, [0] * (order + 1)
     for i in range(1, b + 1):
         h = _filter(i, 1, total)
         yield h
-        below = [u + v for u, v in zip(below, h)]
-        total = [t + 2 * u + v for t, u, v in zip(total, below, h)]
+        if i < b:
+            below = [u + v for u, v in zip(below, h)]
+            total = [t + 2 * u + v for t, u, v in zip(total, below, h)]
 
 
 def _stack_and_skew(b: int, order: int) -> tuple[list[int], list[int]]:

@@ -1,6 +1,7 @@
 """Brute-force generation against every independent count we know."""
 
 import hashlib
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -183,6 +184,8 @@ class TestNodeWork:
             assert list(real(below, budget)) == want, (below, budget)
 
     def test_last_keys_are_the_one_domino_levels(self, monkeypatch):
+        # the walks reach _last_keys through the _children memo
+        enumerator._children.cache_clear()
         enumerator._last_keys.cache_clear()
         asked = set()
         real = enumerator._last_keys
@@ -202,6 +205,52 @@ class TestNodeWork:
             levels = enumerator._level_sets(below, 1)
             want = tuple((x + n) * n + y for (x,), _ in levels)
             assert real(below, y, n) == want, (below, y, n)
+
+    def test_children_match_their_memos(self, monkeypatch):
+        enumerator._children.cache_clear()
+        asked = set()
+        real = enumerator._children
+
+        def recording(below, left, y, n):
+            asked.add((below, left, y, n))
+            return real(below, left, y, n)
+
+        monkeypatch.setattr(enumerator, "_children", recording)
+        for n in range(1, 9):
+            for _ in tower_lines(n):
+                pass
+        # every entry the walks put in the memo is checked, as flat
+        # (level, keys, left, tops) records in _level_sets order
+        assert len(asked) == real.cache_info().currsize > 100
+        for below, budget, y, n in asked:
+            want = []
+            for level, left in enumerator._level_sets(below, budget):
+                keys = enumerator._level_keys(level, y, n)
+                tops = enumerator._last_keys(level, y + 1, n) if left == 1 else None
+                want += [level, keys, left, tops]
+            assert real(below, budget, y, n) == tuple(want), (below, budget, y, n)
+
+    def test_memos_stay_small(self):
+        # what tower_lines(10) leaves in the enumerator's memos: 2.4 MB
+        # before the _children memo, 2.6 MB with its flat records; a
+        # layout that doubles them fails
+        memos = (
+            enumerator._level_sets,
+            enumerator._level_keys,
+            enumerator._last_keys,
+            enumerator._children,
+            enumerator._texts,
+        )
+        for memo in memos:
+            memo.cache_clear()
+        tracemalloc.start()
+        try:
+            for _ in tower_lines(10):
+                pass
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 5_000_000
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_anchored_levels_are_a_normal_form(self, n):

@@ -173,9 +173,28 @@ class TestShapeRecord:
         assert t == ((0,), (1,)) and hash(t) == hash(((0,), (1,)))
 
     def test_list_of_levels_is_normalised(self):
-        t = TowerShape([(0,), (1,)])
+        # levels or rows given as lists are stored as tuples, so every
+        # shape hashes
         expected = TowerShape.from_levels(((0,), (1,)))
-        assert t == expected and hash(t) == hash(expected)
+        built = (
+            TowerShape([(0,), (1,)]),
+            TowerShape([[0], [1]]),
+            TowerShape.from_levels([[1], [2]]),
+            TowerShape.from_levels([[0], [1]]),
+        )
+        for t in built:
+            assert t == expected and hash(t) == hash(expected)
+            assert all(type(row) is tuple for row in t)
+
+    def test_from_levels_shifts_past_an_empty_row(self):
+        # an empty level is the least row, so the shift comes from the others
+        for levels in (((2,), (), (3, 5)), [[2], [], [3, 5]], ((), (0,))):
+            t = TowerShape.from_levels(levels)
+            shift = 2 if levels[0] else 0
+            assert t == tuple(tuple(x - shift for x in row) for row in levels)
+            assert all(type(row) is tuple for row in t)
+        with pytest.raises(ValueError):
+            TowerShape.from_levels(((), ()))
 
 
 class TestSupportRule:

@@ -43,6 +43,13 @@ REGISTER = (
         ("tests/test_series.py::TestBuilders::test_methods_agree",),
     ),
     Mutant(
+        "stacks-carry-stops-one-base-early",
+        "src/dominotowers/series.py",
+        "if i < b:",
+        "if i < b - 1:",
+        ("tests/test_series.py::TestBuilders::test_methods_agree",),
+    ),
+    Mutant(
         "series-empty-guard-dropped",
         "src/dominotowers/series.py",
         '        if not self:\n'
@@ -181,16 +188,27 @@ REGISTER = (
     Mutant(
         "tower-lines-draw-siblings-before-children",
         "src/dominotowers/enumerator.py",
-        "stack.append((iter(_level_sets(chosen, left)), y + 1, grown))\n"
+        "stack.append((zip(it, it, it, it), y + 1, grown))\n"
         "                break\n",
-        "stack.append((iter(_level_sets(chosen, left)), y + 1, grown))\n",
+        "stack.append((zip(it, it, it, it), y + 1, grown))\n",
         ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
     ),
     Mutant(
         "tower-lines-last-level-one-row-low",
         "src/dominotowers/enumerator.py",
-        "_last_keys(chosen, y + 1, n)",
-        "_last_keys(chosen, y, n)",
+        "_last_keys(level, y + 1, n)",
+        "_last_keys(level, y, n)",
+        ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
+    ),
+    Mutant(
+        # the right cell's place is counted among the keys below, so it
+        # lands one word early once the left cell is in
+        "tower-lines-splice-inserts-left-cell-first",
+        "src/dominotowers/enumerator.py",
+        "line.insert(bisect(grown, low + n), texts[low + n])\n"
+        "                    line.insert(bisect(grown, low), texts[low])\n",
+        "line.insert(bisect(grown, low), texts[low])\n"
+        "                    line.insert(bisect(grown, low + n), texts[low + n])\n",
         ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
     ),
     Mutant(
