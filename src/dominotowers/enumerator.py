@@ -13,11 +13,12 @@ is a prefix of another, each (n, b) stream is strictly increasing as tuples
 of base-anchored levels; ``verify`` checks this instead of storing towers.
 Each walk is one loop over an explicit stack, as in Redelmeier's polyomino
 counter: a frame holds an open node's iterator over its untried level sets
-and its state.  The root frame holds the bases, so a base is just the
-first level and a bare base (b = n) is an ordinary leaf.  A child with
-blocks left is pushed and walked before its next sibling is drawn, so the
-loop keeps a recursion's depth-first order without a generator frame per
-level, and a leaf is yielded in place.
+and its state, with the blocks it has left to place.  The root frame holds
+the bases and all n blocks, so a base is just the first level and a bare
+base (b = n) is an ordinary leaf.  A child with blocks left is pushed and
+walked before its next sibling is drawn, so the loop keeps a recursion's
+depth-first order without a generator frame per level, and a leaf is
+yielded in place.
 
 Coordinates are base-anchored: the base's dominoes sit at x = 0, 2, ...,
 2b - 2 for the whole walk, and higher levels may reach left of it, down to
@@ -28,11 +29,12 @@ x = 0) to the consumers that need one.
 
 The level sets above a row depend only on that row and the block budget
 left, so ``_level_sets`` is memoised on the pair (the hard cap bounds the
-memo) and gives ``(level, left)`` pairs, ``left`` being the budget after
-the level.  The walk carries the column masks of ``model._convex_row`` down,
-bit 0 being column ``ORIGIN`` in every row.  A row or column gap never
-closes when a level is added on top, so once a prefix is non-convex the
-walk stops stepping them.
+memo).  It holds the bare levels, and both walks read this one memo; a
+child's budget is its frame's budget less the level's size.  The walk
+carries the column masks of ``model._convex_row`` down, bit 0 being column
+``ORIGIN`` in every row.  A row or column gap never closes when a level
+is added on top, so once a prefix is non-convex the walk stops stepping
+them.
 
 The oracle has four entry points: ``walk(n, b=None)`` streams each tower's
 anchored levels with its convexity flag, ``enumerate_towers(n, b=None)`` the
@@ -44,15 +46,15 @@ memo on (row, budget, y, n) holding, flat in one tuple, four items per
 level of ``_level_sets``: the level, its keys at height y (``_level_keys``),
 the budget after it and, when that is one domino, the left-cell keys of the
 one-domino levels above it (``_last_keys``), else None.  The records share
-the key memos' tuples and take the levels from ``_levels_on``, the function
-``_level_sets`` memoises, so no child makes a memo call of its own.  A
-leaf's smallest key gives its leftmost column, which picks the text table
-that reads the keys in canonical position.  Most towers end in a run of one-domino levels, so a
-frame left with one domino pushes no child: an inner loop reads the frame's
-cell texts once and inserts each top domino's two texts at their ``bisect``
-places among its keys, sorting afresh only for a top left of every cell,
-whose leftmost column picks another table.  The streams check their
-arguments in ``_bases`` when the first item is asked for.
+the level and key memos' tuples, so no child makes a memo call of its own.
+A leaf's smallest key gives its leftmost column, which picks the text table
+that reads the keys in canonical position.  Most towers end in a run of
+one-domino levels, so a frame left with one domino pushes no child: an
+inner loop reads the frame's cell texts once and inserts each top domino's
+two texts at their ``bisect`` places among its keys, sorting afresh only
+for a top left of every cell, whose leftmost column picks another table.
+The streams check their arguments in ``_bases`` when the first item is
+asked for.
 """
 
 from __future__ import annotations
@@ -69,14 +71,12 @@ DEFAULT_HARD_CAP = 12
 ORIGIN = -DEFAULT_HARD_CAP  # the mask column of bit 0; every level lies right of it
 
 
-def _levels_on(
-    below: tuple[int, ...], max_size: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """``(level, left)`` for every level that ``below`` supports.
+@cache
+def _level_sets(below: tuple[int, ...], max_size: int) -> tuple[tuple[int, ...], ...]:
+    """Every level of 1..max_size dominoes that ``below`` supports.
 
-    A level holds 1..max_size dominoes, each within one cell of a domino
-    below and pairwise at least two cells apart; they come in lexicographic
-    order of their positions.  ``left`` is max_size less its dominoes.
+    Each domino is within one cell of a domino below and pairwise at least
+    two cells apart; the levels come in lexicographic order of their positions.
     """
     allowed = sorted({p + dx for p in below for dx in (-1, 0, 1)})
     out = []
@@ -88,19 +88,15 @@ def _levels_on(
                 continue
             picked = chosen + (x,)
             if len(picked) <= max_size:
-                out.append((picked, max_size - len(picked)))
+                out.append(picked)
                 rec(j + 1, picked)
 
     rec(0, ())
     return tuple(out)
 
 
-# walk's memo; ``_children`` keeps the levels in its records instead
-_level_sets = cache(_levels_on)
-
-
-def _bases(n: int, b: int | None) -> list[tuple[tuple[int, ...], int]]:
-    """The root's children ``(base, n - b)``, after the checks both streams share."""
+def _bases(n: int, b: int | None) -> list[tuple[int, ...]]:
+    """The root's children, the bases, after the checks both streams share."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if b is not None and b < 1:
@@ -110,7 +106,7 @@ def _bases(n: int, b: int | None) -> list[tuple[tuple[int, ...], int]]:
     if n > DEFAULT_HARD_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_HARD_CAP}")
     sizes = range(1, n + 1) if b is None else range(b, b + 1)
-    return [(tuple(range(0, 2 * size, 2)), n - size) for size in sizes]
+    return [tuple(range(0, 2 * size, 2)) for size in sizes]
 
 
 def walk(n: int, b: int | None = None) -> Iterator[tuple[Levels, bool]]:
@@ -120,20 +116,21 @@ def walk(n: int, b: int | None = None) -> Iterator[tuple[Levels, bool]]:
     levels are base-anchored: the base is ``(0, 2, ..., 2b - 2)`` and higher
     levels may hold negative x, so they are canonical only when none does.
     """
-    # A frame is an open node's untried children, levels and masks: the
-    # levels' (seen, below) column masks, None once non-convex.  The root
-    # holds the bases, with no levels and empty masks.  The break walks a
-    # pushed child before the next sibling is drawn, and the parent's
-    # iterator resumes after it, so children keep ``_level_sets`` order and
-    # the stream stays depth first.
-    stack = [(iter(_bases(n, b)), (), (0, 0))]
+    # A frame is an open node's untried children, levels, masks and block
+    # budget: the masks are the levels' (seen, below) column masks, None
+    # once non-convex.  The root holds the bases, with no levels, empty
+    # masks and budget n.  The break walks a pushed child before the next
+    # sibling is drawn, and the parent's iterator resumes after it, so
+    # children keep ``_level_sets`` order and the stream stays depth first.
+    stack = [(iter(_bases(n, b)), (), (0, 0), n)]
     while stack:
-        children, levels, masks = stack[-1]
-        for chosen, left in children:
+        children, levels, masks, budget = stack[-1]
+        for chosen in children:
             grown = levels + (chosen,)
-            state = masks and _convex_row(*masks, chosen, ORIGIN)
-            if left:
-                stack.append((iter(_level_sets(chosen, left)), grown, state))
+            state = masks and _convex_row(masks, chosen, ORIGIN)
+            if len(chosen) < budget:
+                left = budget - len(chosen)
+                stack.append((iter(_level_sets(chosen, left)), grown, state, left))
                 break
             yield grown, state is not None
         else:
@@ -172,12 +169,14 @@ def _texts(n: int) -> tuple[tuple[str, ...], ...]:
     return tuple(("",) * (j * n) + cells for j in range(n + 1))
 
 
-def _records(levels: Iterable[tuple[tuple[int, ...], int]], y: int, n: int) -> tuple:
-    """``(level, keys, left, tops)`` flat, four items per ``(level, left)`` pair:
-    the level's ``_level_keys`` at height y and, when ``left`` is 1, the
-    ``_last_keys`` above it (else None), each the memo's own tuple."""
+def _records(levels: Iterable[tuple[int, ...]], budget: int, y: int, n: int) -> tuple:
+    """``(level, keys, left, tops)`` flat, four items per level placed out of
+    ``budget`` blocks: the level's ``_level_keys`` at height y, the budget
+    ``left`` after it and, when that is 1, the ``_last_keys`` above it (else
+    None), each the memo's own tuple."""
     out = []
-    for level, left in levels:
+    for level in levels:
+        left = budget - len(level)
         tops = _last_keys(level, y + 1, n) if left == 1 else None
         out += level, _level_keys(level, y, n), left, tops
     return tuple(out)
@@ -185,16 +184,13 @@ def _records(levels: Iterable[tuple[tuple[int, ...], int]], y: int, n: int) -> t
 
 @cache
 def _children(below: tuple[int, ...], left: int, y: int, n: int) -> tuple:
-    """``_records`` of ``_level_sets(below, left)``'s levels at height y.
-
-    The levels come from ``_levels_on`` unmemoised: the records keep them,
-    so a ``_level_sets`` entry would only be held beside its record."""
-    return _records(_levels_on(below, left), y, n)
+    """``_records`` of ``_level_sets(below, left)``'s levels at height y."""
+    return _records(_level_sets(below, left), left, y, n)
 
 
 def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
     """``str(shape)`` for each shape of ``enumerate_towers(n, b)``, in order."""
-    it = iter(_records(_bases(n, b), 0, n))  # checked before the tables are built
+    it = iter(_records(_bases(n, b), n, 0, n))  # checked before the tables are built
     tables = _texts(n)
     # walk's stack loop over ``_records``, each frame carrying its level's y
     # and the keys below it

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -69,13 +70,8 @@ class TowerShape(tuple):
 
     @classmethod
     def from_levels(cls, levels: Levels) -> "TowerShape":
-        """Shape from sorted levels, translated so the smallest left cell is 0.
-
-        The rows may be tuples or lists, as long as they are all of one kind.
-        """
-        # the least row starts at the smallest left cell, unless it is empty
-        low = min(levels)
-        shift = low[0] if low else min([row[0] for row in levels if row])
+        """Shape from sorted levels, translated so the smallest left cell is 0."""
+        shift = min(map(itemgetter(0), filter(None, levels)))
         # the constructor's work, without its Python-level call
         if shift:
             return tuple.__new__(cls, [tuple([x - shift for x in row]) for row in levels])
@@ -154,15 +150,18 @@ def validate(shape: TowerShape) -> bool:
     return True
 
 
-def _convex_row(seen: int, below: int, row: tuple[int, ...], shift: int):
-    """One level of the convexity test: ``(seen, mask)``, or None if broken.
+def _convex_row(state: tuple[int, int], row: tuple[int, ...], shift: int):
+    """One level of the convexity test: the next state, or None if broken.
 
-    Bit i is column shift + i; ``seen`` holds every column occupied so far.
-    A gap in ``row``, or a column of ``row`` that ``below`` leaves empty and
-    ``seen`` holds, breaks convexity, and no level added above mends either.
+    A state is ``(seen, below)``, ``(0, 0)`` under the base.  Bit i is
+    column shift + i; ``seen`` holds every column occupied so far and
+    ``below`` the columns of the level under ``row``.  A gap in ``row``, or
+    a column of ``row`` that ``below`` leaves empty and ``seen`` holds,
+    breaks convexity, and no level added above mends either.
     """
     if row[-1] - row[0] != 2 * len(row) - 2:
         return None
+    seen, below = state
     mask = ((1 << 2 * len(row)) - 1) << (row[0] - shift)
     if mask & seen & ~below:
         return None
@@ -175,7 +174,7 @@ def _convex(levels: Levels) -> bool:
     shift = min(levels)[0]
     state = (0, 0)
     for row in levels:
-        state = _convex_row(*state, row, shift)
+        state = _convex_row(state, row, shift)
         if state is None:
             return False
     return True

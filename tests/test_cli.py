@@ -310,6 +310,22 @@ class TestVerify:
             "round trip failed for 0,1 1,0 1,1 2,0 2,1 3,1"
         )
 
+    def test_raising_dissect_fails_round_trip(self, capsys, monkeypatch):
+        # a check that raises is a mismatch naming the shape, not a usage error
+        def refusing(shape):
+            raise ValueError("dissect requires a valid tower")
+
+        monkeypatch.setattr(cli, "dissect", refusing)
+        code, out, _ = run(capsys, "verify", "--max-n", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line[:4] for line in lines] == ["PASS", "PASS", "FAIL"]
+        assert lines[2].startswith(
+            "FAIL dissection round trip on every convex shape: "
+            "round trip failed for 0,0 1,0: dissect requires a valid tower; "
+            "round trip failed for 0,1 1,0 1,1 2,0: dissect requires a valid tower; "
+        )
+
     def test_convex_flagged_non_convex_fails_census(self, capsys, monkeypatch):
         # a walk that drops one convex tower lowers the census counts
         real = cli.walk

@@ -176,7 +176,7 @@ class TestNodeWork:
         for below, budget in asked:
             allowed = sorted({p + dx for p in below for dx in (-1, 0, 1)})
             want = sorted(
-                (level, budget - size)
+                level
                 for size in range(1, budget + 1)
                 for level in combinations(allowed, size)
                 if all(q - p >= 2 for p, q in zip(level, level[1:]))
@@ -203,7 +203,7 @@ class TestNodeWork:
         for below, y, n in asked:
             # the left cell's key; the right cell's, at x + 1, is n more
             levels = enumerator._level_sets(below, 1)
-            want = tuple((x + n) * n + y for (x,), _ in levels)
+            want = tuple((x + n) * n + y for (x,) in levels)
             assert real(below, y, n) == want, (below, y, n)
 
     def test_children_match_their_memos(self, monkeypatch):
@@ -224,11 +224,44 @@ class TestNodeWork:
         assert len(asked) == real.cache_info().currsize > 100
         for below, budget, y, n in asked:
             want = []
-            for level, left in enumerator._level_sets(below, budget):
+            for level in enumerator._level_sets(below, budget):
+                left = budget - len(level)
                 keys = enumerator._level_keys(level, y, n)
                 tops = enumerator._last_keys(level, y + 1, n) if left == 1 else None
                 want += [level, keys, left, tops]
             assert real(below, budget, y, n) == tuple(want), (below, budget, y, n)
+
+    def test_children_share_each_level_set_across_heights(self, monkeypatch):
+        # a (row, budget) pair recurs at several heights: 968 _children
+        # entries over 478 pairs at n = 10, each level set built once
+        enumerator._children.cache_clear()
+        enumerator._level_sets.cache_clear()
+        asked = []
+        real = enumerator._level_sets
+
+        def recording(below, max_size):
+            asked.append((below, max_size))
+            return real(below, max_size)
+
+        monkeypatch.setattr(enumerator, "_level_sets", recording)
+        for _ in tower_lines(10):
+            pass
+        assert len(asked) == enumerator._children.cache_info().misses
+        assert real.cache_info().misses == len(set(asked)) < len(asked)
+
+    def test_walk_memo_stays_small(self):
+        # walk(1..10) leaves 921 level sets: 1.2 MB of bare levels, 2.1 MB
+        # when each level was paired with the budget after it
+        enumerator._level_sets.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in range(1, 11):
+                for _ in walk(n):
+                    pass
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1_600_000
 
     def test_memos_stay_small(self):
         # what tower_lines(10) leaves in the enumerator's memos: 2.4 MB

@@ -174,13 +174,15 @@ class TestShapeRecord:
 
     def test_list_of_levels_is_normalised(self):
         # levels or rows given as lists are stored as tuples, so every
-        # shape hashes
+        # shape hashes; lists and tuples may be mixed
         expected = TowerShape.from_levels(((0,), (1,)))
         built = (
             TowerShape([(0,), (1,)]),
             TowerShape([[0], [1]]),
             TowerShape.from_levels([[1], [2]]),
             TowerShape.from_levels([[0], [1]]),
+            TowerShape.from_levels([(1,), [2]]),
+            TowerShape.from_levels([[0], (1,)]),
         )
         for t in built:
             assert t == expected and hash(t) == hash(expected)

@@ -150,6 +150,18 @@ REGISTER = (
         ("tests/test_cli.py::TestVerify::test_duplicate_shape_fails_count_check",),
     ),
     Mutant(
+        "verify-check-error-escapes",
+        "src/dominotowers/cli.py",
+        "                try:\n"
+        "                    if recombine(dissect(shape)) != shape:\n"
+        '                        dissect_mismatches.append(f"round trip failed for {shape}")\n'
+        "                except ValueError as exc:\n"
+        '                    dissect_mismatches.append(f"round trip failed for {shape}: {exc}")\n',
+        "                if recombine(dissect(shape)) != shape:\n"
+        '                    dissect_mismatches.append(f"round trip failed for {shape}")\n',
+        ("tests/test_cli.py::TestVerify::test_raising_dissect_fails_round_trip",),
+    ),
+    Mutant(
         "recurrence-diagonal-term-dropped",
         "src/dominotowers/recurrences.py",
         " - prev2[n - 2]",
@@ -180,9 +192,16 @@ REGISTER = (
     Mutant(
         "walk-draws-siblings-before-children",
         "src/dominotowers/enumerator.py",
-        "stack.append((iter(_level_sets(chosen, left)), grown, state))\n"
+        "stack.append((iter(_level_sets(chosen, left)), grown, state, left))\n"
         "                break\n",
-        "stack.append((iter(_level_sets(chosen, left)), grown, state))\n",
+        "stack.append((iter(_level_sets(chosen, left)), grown, state, left))\n",
+        ("tests/test_enumerator.py::TestEnumerate::test_counts_match_binomials",),
+    ),
+    Mutant(
+        "walk-child-budget-one-block-short",
+        "src/dominotowers/enumerator.py",
+        "budget - len(chosen)",
+        "budget - len(chosen) - 1",
         ("tests/test_enumerator.py::TestEnumerate::test_counts_match_binomials",),
     ),
     Mutant(
