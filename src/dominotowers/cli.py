@@ -168,11 +168,8 @@ def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
                 label = model.classify(shape)
                 tally[label, b] += 1
                 tally["c", shape.max_row_b] += 1
-                # a tower the walk flags in error still counts towards c, so
-                # the census check fails; dissect would refuse it
-                if label is TowerClass.NON_CONVEX:
-                    continue
-                # a check that raises on a walked shape is a mismatch too
+                # a check that raises on a walked shape is a mismatch too, as
+                # when dissect refuses a tower the walk flags convex in error
                 try:
                     if recombine(dissect(shape)) != shape:
                         dissect_mismatches.append(f"round trip failed for {shape}")

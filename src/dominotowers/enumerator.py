@@ -51,8 +51,8 @@ A leaf's smallest key gives its leftmost column, which picks the text table
 that reads the keys in canonical position.  Most towers end in a run of
 one-domino levels, so a frame left with one domino pushes no child: an
 inner loop reads the frame's cell texts once and inserts each top domino's
-two texts at their ``bisect`` places among its keys, sorting afresh only
-for a top left of every cell, whose leftmost column picks another table.
+two texts at their ``bisect`` places among its keys; a top left of every
+cell is the new leftmost column, so its table reads the texts again.
 The streams check their arguments in ``_bases`` when the first item is
 asked for.
 """
@@ -206,17 +206,16 @@ def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
                 texts = tables[grown[0] // n]
                 words = itemgetter(*grown)(texts)
                 for low in tops:
-                    if low < grown[0]:  # left of every cell: another table
-                        cells = [*grown, low, low + n]
-                        cells.sort()
-                        yield " ".join(itemgetter(*cells)(tables[low // n]))
-                        continue
                     # the top is above every cell, so it sorts after each
                     # key of its columns; the right cell goes in first, at
-                    # its place among the keys below
-                    line = list(words)
-                    line.insert(bisect(grown, low + n), texts[low + n])
-                    line.insert(bisect(grown, low), texts[low])
+                    # its place among the keys below.  A top left of every
+                    # cell is the new leftmost column, so its table reads all
+                    table, line = texts, list(words)
+                    if low < grown[0]:
+                        table = tables[low // n]
+                        line = list(itemgetter(*grown)(table))
+                    line.insert(bisect(grown, low + n), table[low + n])
+                    line.insert(bisect(grown, low), table[low])
                     yield " ".join(line)
             elif left:
                 it = iter(_children(chosen, left, y + 1, n))

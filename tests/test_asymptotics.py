@@ -187,8 +187,10 @@ class TestLimitConstant:
         assert limit_constant_digits(1000) == reference_partition_digits(1000)
 
     def test_matches_per_factor_reference(self):
-        for count in range(1, 81):
-            assert limit_constant_digits(count) == reference_limit_digits(count)
+        # the digits are truncated, so each count's are a prefix of the longest
+        longest = reference_limit_digits(200)
+        for count in range(1, 201):
+            assert limit_constant_digits(count) == longest[:count]
 
     def test_partial_products_increase_and_stay_bounded(self):
         below = Fraction(int(limit_constant_digits(12)), 10 ** 11)

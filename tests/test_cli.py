@@ -346,8 +346,8 @@ class TestVerify:
         )
 
     def test_non_convex_flagged_convex_fails_census(self, capsys, monkeypatch):
-        # the other direction: classify still labels the tower, dissect never
-        # sees it, and the convex count rises
+        # the other direction: classify still labels the tower, so the
+        # convex count rises, and dissect's refusal fails the round trip
         real = cli.walk
 
         def adding(n, b=None):
@@ -363,6 +363,10 @@ class TestVerify:
         assert out.splitlines()[1] == (
             "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
             "c(2,4): census 19 != recurrence 18"
+        )
+        assert out.splitlines()[2] == (
+            "FAIL dissection round trip on every convex shape: round trip failed "
+            "for 0,0 1,0 1,1 2,0 2,1 2,2 3,0 3,2: dissect requires a convex tower"
         )
 
     def test_missing_tower_fails_count_and_total(self, capsys, monkeypatch):

@@ -162,6 +162,20 @@ REGISTER = (
         ("tests/test_cli.py::TestVerify::test_raising_dissect_fails_round_trip",),
     ),
     Mutant(
+        # a tower the walk flags convex in error would then fail the census
+        # alone, and the round trip would pass over it
+        "verify-skips-walk-flag-errors",
+        "src/dominotowers/cli.py",
+        'tally["c", shape.max_row_b] += 1\n',
+        'tally["c", shape.max_row_b] += 1\n'
+        "                if label is TowerClass.NON_CONVEX:\n"
+        "                    continue\n",
+        (
+            "tests/test_cli.py::TestVerify"
+            "::test_non_convex_flagged_convex_fails_census",
+        ),
+    ),
+    Mutant(
         "recurrence-diagonal-term-dropped",
         "src/dominotowers/recurrences.py",
         " - prev2[n - 2]",
@@ -224,10 +238,19 @@ REGISTER = (
         # lands one word early once the left cell is in
         "tower-lines-splice-inserts-left-cell-first",
         "src/dominotowers/enumerator.py",
-        "line.insert(bisect(grown, low + n), texts[low + n])\n"
-        "                    line.insert(bisect(grown, low), texts[low])\n",
-        "line.insert(bisect(grown, low), texts[low])\n"
-        "                    line.insert(bisect(grown, low + n), texts[low + n])\n",
+        "line.insert(bisect(grown, low + n), table[low + n])\n"
+        "                    line.insert(bisect(grown, low), table[low])\n",
+        "line.insert(bisect(grown, low), table[low])\n"
+        "                    line.insert(bisect(grown, low + n), table[low + n])\n",
+        ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
+    ),
+    Mutant(
+        # a top left of every cell read through the frame's table reads its
+        # two texts from the table's empty padding
+        "tower-lines-corner-top-reads-the-frame-table",
+        "src/dominotowers/enumerator.py",
+        "table = tables[low // n]",
+        "table = texts",
         ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
     ),
     Mutant(
