@@ -27,18 +27,32 @@ Families, all counted as fixed polyominoes made of n blocks of length k
 
 Tables only ever grow in n, never rebuilt.  A row is zero left of its first
 non-zero column (none for b < 1 or g's row 1); a g or h row then starts with
-its 1, and every later cell is O(1) from stored values.  With m = n - b > 0
-and rows b <= 0 zero, h(b-1, n-1) sums over the same h(i, m) as h(b, n), so
+its 1, and every later cell is O(1) from stored values.
+
+A g row is a running sum along each residue class mod b-1: cell n adds
+(k-1) g(b-1, n-b+1) to the cell b-1 columns back.  Fewer than 8 new cells
+are appended one at a time, since a read that walks n upward grows each row
+one column per call.  A longer extension appends row b-1's (k-1)-weighted
+slice and sums it in place: one `accumulate` per class when (b-1)^2 is
+below the number of new cells, otherwise one `map(add)` per block of b-1
+cells, since each block reads only the block before it.  `series._filter`
+runs the same running sums; they are written again here rather than
+imported, so that one slip in a shared kernel cannot pass both routes.
+
+With m = n - b > 0 and rows b <= 0 zero, h(b-1, n-1) sums over the same
+h(i, m) as h(b, n), so
     h(b, n) - h(b-1, n-1) = h(b, m) + k * sum_{i<b} h(i, m),
 and subtracting that step taken one row down the diagonal leaves
     h(b, n) = 2 h(b-1, n-1) - h(b-2, n-2) + h(b, m) + (k-1) h(b-1, m).
 One subtraction leaves r(b, n) = r(b-1, n-1) + k r(b, m) + (k-1) h(b, m).
+Both grow one cell at a time; at k = 2 the (k-1) term is added unweighted.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 
 FAMILIES = ("g", "h", "r", "c")
 
@@ -87,7 +101,12 @@ class CountTable:
             self._extend(b, max_n)
 
     def _extend(self, b: int, max_n: int) -> None:
-        """Append row b's cells through max_n; rows b-1 and b-2 are long enough."""
+        """Append row b's cells through max_n; rows b-1 and b-2 are long enough.
+
+        h and r append one cell at a time, and so does g below 8 new cells;
+        a longer g extension is summed per class or per block of b-1 cells
+        (`_running_sums`).
+        """
         k = self.k
         row = self._rows[b]
         first = self._first(b)
@@ -98,19 +117,50 @@ class CountTable:
             row.extend(itertools.chain(zeros, seed))
         prev = self._rows[b - 1]
         if self.family == "g":
-            for n in range(len(row), max_n + 1):
-                m = n - b + 1
-                row.append(row[m] + (k - 1) * prev[m])
+            if max_n - len(row) < 7:  # below 8 new cells the loop beats the sums
+                for n in range(len(row), max_n + 1):
+                    m = n - b + 1
+                    row.append(row[m] + (k - 1) * prev[m])
+            else:
+                _running_sums(row, prev, b - 1, max_n, k - 1)
         elif self.family == "h":
             prev2 = self._rows[max(b - 2, 0)]  # row -1 would wrap to the top
-            for n in range(len(row), max_n + 1):
-                m = n - b
-                row.append(2 * prev[n - 1] - prev2[n - 2] + row[m] + (k - 1) * prev[m])
+            if k == 2:
+                for n in range(len(row), max_n + 1):
+                    m = n - b
+                    row.append(2 * prev[n - 1] - prev2[n - 2] + row[m] + prev[m])
+            else:
+                w = k - 1
+                for n in range(len(row), max_n + 1):
+                    m = n - b
+                    row.append(2 * prev[n - 1] - prev2[n - 2] + row[m] + w * prev[m])
         else:
             h_row = self._h._rows[b]
-            for n in range(len(row), max_n + 1):
-                m = n - b
-                row.append(prev[n - 1] + k * row[m] + (k - 1) * h_row[m])
+            if k == 2:
+                for n in range(len(row), max_n + 1):
+                    m = n - b
+                    row.append(prev[n - 1] + 2 * row[m] + h_row[m])
+            else:
+                w = k - 1
+                for n in range(len(row), max_n + 1):
+                    m = n - b
+                    row.append(prev[n - 1] + k * row[m] + w * h_row[m])
+
+
+def _running_sums(
+    row: list[int], lower: list[int], lag: int, max_n: int, weight: int
+) -> None:
+    """Extend row through max_n by row[n] = row[n - lag] + weight * lower[n - lag]:
+    lower's weighted slice, summed per class mod lag or per block of lag cells."""
+    start = len(row)
+    weighted = lower[start - lag : max_n + 1 - lag]
+    row += weighted if weight == 1 else [weight * v for v in weighted]
+    if lag * lag < len(weighted):
+        for i in range(start, start + lag):
+            row[i - lag :: lag] = itertools.accumulate(row[i - lag :: lag])
+    else:
+        for n in range(start, max_n + 1, lag):
+            row[n : n + lag] = map(add, row[n : n + lag], row[n - lag : n])
 
 
 _tables: dict[tuple[str, int], CountTable] = {}

@@ -251,6 +251,32 @@ class TestAgainstDocstringRecurrences:
                     assert t.value(b, n) == ref[family].get((b, n), 0), (family, b, n)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("family", "ghr")
+    def test_growth_steps_at_regime_edges_match_reference(self, monkeypatch, family, k):
+        # g sums new cells one by one below 8 of them, per class mod b - 1
+        # when (b - 1)^2 is below their number, else per block of b - 1; the
+        # steps straddle each switch, starting from the row's first column
+        monkeypatch.setattr(recurrences, "_tables", {})
+        ref = reference_tables(k)[family]
+        ref_rows = [
+            [ref.get((b, n), 0) for n in range(REF_MAX_N + 1)]
+            for b in range(REF_MAX_B + 1)
+        ]
+        for b in range(1, REF_MAX_B + 1):
+            t = CountTable(family, k)
+            first = t._first(b)
+            n = 0 if first == math.inf else first
+            if n:
+                t.ensure(b, n - 1)  # zeros only: max_n is left of the first column
+            t.ensure(b, n)
+            for step in (1, b - 2, b - 1, b, (b - 1) ** 2, (b - 1) ** 2 + 1):
+                if step > 0 and n + step <= REF_MAX_N:
+                    n += step
+                    t.ensure(b, n)
+            for row in range(b + 1):
+                assert t._rows[row][: n + 1] == ref_rows[row][: n + 1], (b, row, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
     def test_table_extracts_match_reference(self, monkeypatch, k):
         # later extracts read rows an earlier, differently shaped one grew
         monkeypatch.setattr(recurrences, "_tables", {})
@@ -334,7 +360,8 @@ class TestAgainstDocstringRecurrences:
 
 
 class TestGrowthCost:
-    """Walking n upward extends rows cell by cell; nothing is rebuilt."""
+    """Walking n upward extends each row a cell per call, and a g row sums
+    longer extensions per class or block; nothing is rebuilt."""
 
     def test_cold_convex_walk(self, monkeypatch):
         monkeypatch.setattr(recurrences, "_tables", {})

@@ -178,9 +178,41 @@ REGISTER = (
     Mutant(
         "recurrence-diagonal-term-dropped",
         "src/dominotowers/recurrences.py",
-        " - prev2[n - 2]",
-        "",
+        " - prev2[n - 2] + row[m] + prev[m])",
+        " + row[m] + prev[m])",
         ("tests/test_recurrences.py::TestSpotValues::test_stack_family",),
+    ),
+    Mutant(
+        # each class then starts from its first new cell, not the cell
+        # b - 1 columns back
+        "g-class-sums-lose-their-seed",
+        "src/dominotowers/recurrences.py",
+        "row[i - lag :: lag] = itertools.accumulate(row[i - lag :: lag])",
+        "row[i :: lag] = itertools.accumulate(row[i :: lag])",
+        (
+            "tests/test_recurrences.py::TestAgainstDocstringRecurrences"
+            "::test_growth_steps_at_regime_edges_match_reference",
+        ),
+    ),
+    Mutant(
+        "g-block-sums-read-one-column-late",
+        "src/dominotowers/recurrences.py",
+        "row[n - lag : n])",
+        "row[n - lag + 1 : n + 1])",
+        (
+            "tests/test_recurrences.py::TestAgainstDocstringRecurrences"
+            "::test_growth_steps_at_regime_edges_match_reference",
+        ),
+    ),
+    Mutant(
+        "g-weight-dropped-at-k-3",
+        "src/dominotowers/recurrences.py",
+        "[weight * v for v in weighted]",
+        "weighted",
+        (
+            "tests/test_recurrences.py::TestAgainstDocstringRecurrences"
+            "::test_interleaved_growth_matches_reference",
+        ),
     ),
     Mutant(
         "skew-rows-start-one-column-early",
