@@ -41,20 +41,20 @@ anchored levels with its convexity flag, ``enumerate_towers(n, b=None)`` the
 canonical shapes, ``tower_lines(n, b=None)`` their ``str`` text from the
 same level sets, and ``census(n)`` counts them in one pass, classifying only
 convex towers.  ``tower_lines`` carries each partial tower's cells as sorted
-integer keys (x + n)*n + y.  Its frames iterate ``_children`` records, a
-memo on (row, budget, y, n) holding, flat in one tuple, four items per
-level of ``_level_sets``: the level, its keys at height y (``_level_keys``),
-the budget after it and, when that is one domino, the left-cell keys of the
-one-domino levels above it (``_last_keys``), else None.  The records share
-the level and key memos' tuples, so no child makes a memo call of its own.
-A leaf's smallest key gives its leftmost column, which picks the text table
-that reads the keys in canonical position.  Most towers end in a run of
-one-domino levels, so a frame left with one domino pushes no child: an
-inner loop reads the frame's cell texts once and inserts each top domino's
-two texts at their ``bisect`` places among its keys; a top left of every
-cell is the new leftmost column, so its table reads the texts again.
-The streams check their arguments in ``_bases`` when the first item is
-asked for.
+integer keys (x - ORIGIN)*DEFAULT_HARD_CAP + y, which hold no tower size,
+so each memo below serves every size.  Its frames iterate ``_children``
+records, a memo on (row, budget, y) holding, flat in one tuple, four items
+per level of ``_level_sets``: the level, its keys at height y
+(``_level_keys``), the budget after it and, when that is one domino, the
+left-cell keys of the one-domino levels above it (``_last_keys``), else
+None.  The records share the level and key memos' tuples, so no child makes
+a memo call of its own.  A leaf's smallest key gives its leftmost column,
+which picks the text table that reads the keys in canonical position.  Most
+towers end in a run of one-domino levels, so a frame left with one domino
+pushes no child: an inner loop reads the frame's cell texts once and inserts
+each top domino's two texts at their ``bisect`` places among its keys; a top
+left of every cell is the new leftmost column, so its table reads the texts
+again.  The streams check their arguments when the first item is asked for.
 """
 
 from __future__ import annotations
@@ -144,32 +144,33 @@ def enumerate_towers(n: int, b: int | None = None) -> Iterator[TowerShape]:
 
 
 @cache
-def _level_keys(level: tuple[int, ...], y: int, n: int) -> tuple[int, ...]:
-    """The cell keys (x + n)*n + y of one level's dominoes, in level order."""
-    return tuple(k for x in level for k in ((x + n) * n + y, (x + n + 1) * n + y))
+def _level_keys(level: tuple[int, ...], y: int) -> tuple[int, ...]:
+    """The keys of one level's cells at height y, in level order."""
+    return tuple((c - ORIGIN) * DEFAULT_HARD_CAP + y for x in level for c in (x, x + 1))
 
 
 @cache
-def _last_keys(below: tuple[int, ...], y: int, n: int) -> tuple[int, ...]:
+def _last_keys(below: tuple[int, ...], y: int) -> tuple[int, ...]:
     """Left-cell keys at height y of ``_level_sets(below, 1)``'s levels, in its
-    order; the right cell's key is n more.  A lone domino needs only support,
-    so the keys are read off ``below`` and that memo is not filled for them."""
-    return tuple(sorted({(p + dx + n) * n + y for p in below for dx in (-1, 0, 1)}))
+    order; the right cell's key is DEFAULT_HARD_CAP more.  A lone domino needs
+    only support, so the keys are read off ``below``, not that memo."""
+    xs = {p + dx for p in below for dx in (-1, 0, 1)}
+    return tuple(sorted((x - ORIGIN) * DEFAULT_HARD_CAP + y for x in xs))
 
 
 @cache
-def _texts(n: int) -> tuple[tuple[str, ...], ...]:
-    # A level stays within one cell of the level below on either side, and
-    # one domino reaches only one side, so the leftmost column is above
-    # -n and a tower spans at most 2n columns: canonical x < 2n.  As
-    # y < n, the keys sort cells by (x, y).  Table j reads the keys of a
-    # tower whose leftmost column is j - n: it pads the one tuple of
-    # canonical texts with j*n entries that no key reaches.
-    cells = tuple(f"{k // n},{k % n}" for k in range(2 * n * n))
-    return tuple(("",) * (j * n) + cells for j in range(n + 1))
+def _texts() -> tuple[tuple[str, ...], ...]:
+    # A level reaches at most one cell past the level below, on one side per
+    # domino, so the leftmost column is above -n, right of ORIGIN, and
+    # canonical x < 2n; as y < n <= DEFAULT_HARD_CAP, keys sort by (x, y).
+    # Table j reads the keys of a tower whose leftmost column is j + ORIGIN:
+    # it pads the canonical texts with j strides that no key reaches.
+    xs, ys = range(2 * DEFAULT_HARD_CAP), range(DEFAULT_HARD_CAP)
+    cells = tuple(f"{x},{y}" for x in xs for y in ys)
+    return tuple(("",) * j * DEFAULT_HARD_CAP + cells for j in range(DEFAULT_HARD_CAP + 1))
 
 
-def _records(levels: Iterable[tuple[int, ...]], budget: int, y: int, n: int) -> tuple:
+def _records(levels: Iterable[tuple[int, ...]], budget: int, y: int) -> tuple:
     """``(level, keys, left, tops)`` flat, four items per level placed out of
     ``budget`` blocks: the level's ``_level_keys`` at height y, the budget
     ``left`` after it and, when that is 1, the ``_last_keys`` above it (else
@@ -177,21 +178,21 @@ def _records(levels: Iterable[tuple[int, ...]], budget: int, y: int, n: int) -> 
     out = []
     for level in levels:
         left = budget - len(level)
-        tops = _last_keys(level, y + 1, n) if left == 1 else None
-        out += level, _level_keys(level, y, n), left, tops
+        tops = _last_keys(level, y + 1) if left == 1 else None
+        out += level, _level_keys(level, y), left, tops
     return tuple(out)
 
 
 @cache
-def _children(below: tuple[int, ...], left: int, y: int, n: int) -> tuple:
+def _children(below: tuple[int, ...], left: int, y: int) -> tuple:
     """``_records`` of ``_level_sets(below, left)``'s levels at height y."""
-    return _records(_level_sets(below, left), left, y, n)
+    return _records(_level_sets(below, left), left, y)
 
 
 def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
     """``str(shape)`` for each shape of ``enumerate_towers(n, b)``, in order."""
-    it = iter(_records(_bases(n, b), n, 0, n))  # checked before the tables are built
-    tables = _texts(n)
+    it = iter(_records(_bases(n, b), n, 0))  # checked before the tables are built
+    tables = _texts()
     # walk's stack loop over ``_records``, each frame carrying its level's y
     # and the keys below it
     stack = [(zip(it, it, it, it), 0, [])]
@@ -203,7 +204,7 @@ def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
             if tops:  # every level above is a one-domino leaf
                 # the smallest key is in the leftmost column; a tower has
                 # at least two keys, so itemgetter gives a tuple, not an item
-                texts = tables[grown[0] // n]
+                texts = tables[grown[0] // DEFAULT_HARD_CAP]
                 words = itemgetter(*grown)(texts)
                 for low in tops:
                     # the top is above every cell, so it sorts after each
@@ -212,17 +213,18 @@ def tower_lines(n: int, b: int | None = None) -> Iterator[str]:
                     # cell is the new leftmost column, so its table reads all
                     table, line = texts, list(words)
                     if low < grown[0]:
-                        table = tables[low // n]
+                        table = tables[low // DEFAULT_HARD_CAP]
                         line = list(itemgetter(*grown)(table))
-                    line.insert(bisect(grown, low + n), table[low + n])
+                    right = low + DEFAULT_HARD_CAP  # the top's right cell
+                    line.insert(bisect(grown, right), table[right])
                     line.insert(bisect(grown, low), table[low])
                     yield " ".join(line)
             elif left:
-                it = iter(_children(chosen, left, y + 1, n))
+                it = iter(_children(chosen, left, y + 1))
                 stack.append((zip(it, it, it, it), y + 1, grown))
                 break
             else:
-                yield " ".join(itemgetter(*grown)(tables[grown[0] // n]))
+                yield " ".join(itemgetter(*grown)(tables[grown[0] // DEFAULT_HARD_CAP]))
         else:
             stack.pop()
 
@@ -233,9 +235,7 @@ def census(n: int) -> Counter[tuple[int, int, TowerClass]]:
         (
             len(levels[0]),
             max(map(len, levels)),
-            classify(TowerShape.from_levels(levels))
-            if convex
-            else TowerClass.NON_CONVEX,
+            classify(TowerShape.from_levels(levels)) if convex else TowerClass.NON_CONVEX,
         )
         for levels, convex in walk(n)
     )

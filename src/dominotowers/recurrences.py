@@ -93,7 +93,8 @@ class CountTable:
         if self.family == "r":
             self._h.ensure(max_b, max_n)
         rows = self._rows
-        rows.extend([] for _ in range(len(rows), max_b + 1))
+        if len(rows) <= max_b:
+            rows.extend([] for _ in range(len(rows), max_b + 1))
         b = max_b
         while b >= 0 and len(rows[b]) <= max_n:
             b -= 1

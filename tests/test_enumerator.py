@@ -9,6 +9,8 @@ import pytest
 
 from dominotowers import enumerator, recurrences
 from dominotowers.enumerator import (
+    DEFAULT_HARD_CAP,
+    ORIGIN,
     census,
     enumerate_towers,
     tower_lines,
@@ -190,9 +192,9 @@ class TestNodeWork:
         asked = set()
         real = enumerator._last_keys
 
-        def recording(below, y, n):
-            asked.add((below, y, n))
-            return real(below, y, n)
+        def recording(below, y):
+            asked.add((below, y))
+            return real(below, y)
 
         monkeypatch.setattr(enumerator, "_last_keys", recording)
         for n in range(1, 9):
@@ -200,20 +202,23 @@ class TestNodeWork:
                 pass
         # every entry the walks put in the memo is checked
         assert len(asked) == real.cache_info().currsize > 100
-        for below, y, n in asked:
-            # the left cell's key; the right cell's, at x + 1, is n more
+        for below, y in asked:
+            # the left cell's key; the right cell's, at x + 1, is one
+            # stride more, as in _level_keys
             levels = enumerator._level_sets(below, 1)
-            want = tuple((x + n) * n + y for (x,) in levels)
-            assert real(below, y, n) == want, (below, y, n)
+            want = tuple((x - ORIGIN) * DEFAULT_HARD_CAP + y for (x,) in levels)
+            assert real(below, y) == want, (below, y)
+            for (x,), low in zip(levels, want):
+                assert enumerator._level_keys((x,), y) == (low, low + DEFAULT_HARD_CAP)
 
     def test_children_match_their_memos(self, monkeypatch):
         enumerator._children.cache_clear()
         asked = set()
         real = enumerator._children
 
-        def recording(below, left, y, n):
-            asked.add((below, left, y, n))
-            return real(below, left, y, n)
+        def recording(below, left, y):
+            asked.add((below, left, y))
+            return real(below, left, y)
 
         monkeypatch.setattr(enumerator, "_children", recording)
         for n in range(1, 9):
@@ -222,14 +227,28 @@ class TestNodeWork:
         # every entry the walks put in the memo is checked, as flat
         # (level, keys, left, tops) records in _level_sets order
         assert len(asked) == real.cache_info().currsize > 100
-        for below, budget, y, n in asked:
+        for below, budget, y in asked:
             want = []
             for level in enumerator._level_sets(below, budget):
                 left = budget - len(level)
-                keys = enumerator._level_keys(level, y, n)
-                tops = enumerator._last_keys(level, y + 1, n) if left == 1 else None
+                keys = enumerator._level_keys(level, y)
+                tops = enumerator._last_keys(level, y + 1) if left == 1 else None
                 want += [level, keys, left, tops]
-            assert real(below, budget, y, n) == tuple(want), (below, budget, y, n)
+            assert real(below, budget, y) == tuple(want), (below, budget, y)
+
+    def test_sizes_share_the_records(self):
+        # no record depends on the tower size: n = 8 after n = 9 builds
+        # only what n = 9 never reached, and both read one text table
+        built = {}
+        for sizes in ((8,), (9, 8)):
+            enumerator._children.cache_clear()
+            enumerator._texts.cache_clear()
+            for n in sizes:
+                before = enumerator._children.cache_info().misses
+                assert sum(1 for _ in tower_lines(n)) == 4 ** (n - 1)
+            built[sizes] = enumerator._children.cache_info().misses - before
+            assert enumerator._texts.cache_info().currsize == 1
+        assert built[(9, 8)] < built[(8,)]
 
     def test_children_share_each_level_set_across_heights(self, monkeypatch):
         # a (row, budget) pair recurs at several heights: 968 _children

@@ -215,6 +215,14 @@ REGISTER = (
         ),
     ),
     Mutant(
+        # a table then gains no row for max_b = len(rows), one short
+        "table-rows-one-short-of-max-b",
+        "src/dominotowers/recurrences.py",
+        "if len(rows) <= max_b:",
+        "if len(rows) < max_b:",
+        ("tests/test_recurrences.py::TestSpotValues::test_stack_family",),
+    ),
+    Mutant(
         "skew-rows-start-one-column-early",
         "src/dominotowers/recurrences.py",
         '"r": 1}',
@@ -261,8 +269,8 @@ REGISTER = (
     Mutant(
         "tower-lines-last-level-one-row-low",
         "src/dominotowers/enumerator.py",
-        "_last_keys(level, y + 1, n)",
-        "_last_keys(level, y, n)",
+        "_last_keys(level, y + 1)",
+        "_last_keys(level, y)",
         ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
     ),
     Mutant(
@@ -270,10 +278,10 @@ REGISTER = (
         # lands one word early once the left cell is in
         "tower-lines-splice-inserts-left-cell-first",
         "src/dominotowers/enumerator.py",
-        "line.insert(bisect(grown, low + n), table[low + n])\n"
+        "line.insert(bisect(grown, right), table[right])\n"
         "                    line.insert(bisect(grown, low), table[low])\n",
         "line.insert(bisect(grown, low), table[low])\n"
-        "                    line.insert(bisect(grown, low + n), table[low + n])\n",
+        "                    line.insert(bisect(grown, right), table[right])\n",
         ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
     ),
     Mutant(
@@ -281,9 +289,21 @@ REGISTER = (
         # two texts from the table's empty padding
         "tower-lines-corner-top-reads-the-frame-table",
         "src/dominotowers/enumerator.py",
-        "table = tables[low // n]",
+        "table = tables[low // DEFAULT_HARD_CAP]",
         "table = texts",
         ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
+    ),
+    Mutant(
+        # each memo alone still sorts its keys by (x, y), but the one-domino
+        # tops no longer share the stride of the keys below them
+        "tower-lines-top-keys-take-their-own-stride",
+        "src/dominotowers/enumerator.py",
+        "sorted((x - ORIGIN) * DEFAULT_HARD_CAP + y for x in xs)",
+        "sorted((x - ORIGIN) * (DEFAULT_HARD_CAP + 1) + y for x in xs)",
+        (
+            "tests/test_enumerator.py::TestNodeWork"
+            "::test_last_keys_are_the_one_domino_levels",
+        ),
     ),
     Mutant(
         "enumerate-batch-drops-its-last-newline",
