@@ -30,7 +30,9 @@ x = 0) to the consumers that need one.
 The level sets above a row depend only on that row and the block budget
 left, so ``_level_sets`` is memoised on the pair (the hard cap bounds the
 memo).  It holds the bare levels, and both walks read this one memo; a
-child's budget is its frame's budget less the level's size.  The walk
+child's budget is its frame's budget less the level's size.  Each budget
+extends the row's entry one smaller, so a row's budgets share their level
+tuples, and the support rule is applied once, at budget 1.  The walk
 carries the column masks of ``model._convex_row`` down, bit 0 being column
 ``ORIGIN`` in every row.  A row or column gap never closes when a level
 is added on top, so once a prefix is non-convex the walk stops stepping
@@ -77,21 +79,18 @@ def _level_sets(below: tuple[int, ...], max_size: int) -> tuple[tuple[int, ...],
 
     Each domino is within one cell of a domino below and pairwise at least
     two cells apart; the levels come in lexicographic order of their positions.
+    Only budget 1 applies the support rule: a larger one is the budget below,
+    each largest level followed by its extensions by one domino to its right.
+    Callers ask only for budgets of at least 1.
     """
-    allowed = sorted({p + dx for p in below for dx in (-1, 0, 1)})
+    if max_size == 1:
+        return tuple((x,) for x in sorted({p + dx for p in below for dx in (-1, 0, 1)}))
+    ones = _level_sets(below, 1)
     out = []
-
-    def rec(start: int, chosen: tuple[int, ...]) -> None:
-        for j in range(start, len(allowed)):
-            x = allowed[j]
-            if chosen and x - chosen[-1] < 2:
-                continue
-            picked = chosen + (x,)
-            if len(picked) <= max_size:
-                out.append(picked)
-                rec(j + 1, picked)
-
-    rec(0, ())
+    for level in _level_sets(below, max_size - 1):
+        out.append(level)
+        if len(level) == max_size - 1:
+            out += [level + top for top in ones if top[0] - level[-1] >= 2]
     return tuple(out)
 
 
@@ -152,10 +151,8 @@ def _level_keys(level: tuple[int, ...], y: int) -> tuple[int, ...]:
 @cache
 def _last_keys(below: tuple[int, ...], y: int) -> tuple[int, ...]:
     """Left-cell keys at height y of ``_level_sets(below, 1)``'s levels, in its
-    order; the right cell's key is DEFAULT_HARD_CAP more.  A lone domino needs
-    only support, so the keys are read off ``below``, not that memo."""
-    xs = {p + dx for p in below for dx in (-1, 0, 1)}
-    return tuple(sorted((x - ORIGIN) * DEFAULT_HARD_CAP + y for x in xs))
+    order; the right cell's key is DEFAULT_HARD_CAP more."""
+    return tuple((x - ORIGIN) * DEFAULT_HARD_CAP + y for (x,) in _level_sets(below, 1))
 
 
 @cache

@@ -326,6 +326,28 @@ class TestVerify:
             "round trip failed for 0,1 1,0 1,1 2,0: dissect requires a valid tower; "
         )
 
+    def test_raising_classify_fails_census(self, capsys, monkeypatch):
+        # a walked tower the model raises on is a census mismatch naming its
+        # levels; the other towers are still counted and checked
+        real = model.classify
+        refused = model.TowerShape.from_levels(((0,), (1,)))
+
+        def refusing(shape):
+            if shape == refused:
+                raise ValueError("classify refuses this tower")
+            return real(shape)
+
+        monkeypatch.setattr(model, "classify", refusing)
+        code, out, _ = run(capsys, "verify", "--max-n", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line[:4] for line in lines] == ["PASS", "FAIL", "PASS"]
+        assert lines[1] == (
+            "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
+            "census failed on levels ((0,), (1,)): classify refuses this tower; "
+            "r(1,2): census 0 != recurrence 1; c(1,2): census 2 != recurrence 3"
+        )
+
     def test_convex_flagged_non_convex_fails_census(self, capsys, monkeypatch):
         # a walk that drops one convex tower lowers the census counts
         real = cli.walk

@@ -1,6 +1,7 @@
 """Brute-force generation against every independent count we know."""
 
 import hashlib
+import operator
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -251,10 +252,10 @@ class TestNodeWork:
         assert built[(9, 8)] < built[(8,)]
 
     def test_children_share_each_level_set_across_heights(self, monkeypatch):
-        # a (row, budget) pair recurs at several heights: 968 _children
-        # entries over 478 pairs at n = 10, each level set built once
-        enumerator._children.cache_clear()
-        enumerator._level_sets.cache_clear()
+        # a (row, budget) pair recurs at several heights: 968 _children and
+        # 841 _last_keys entries over 921 level sets at n = 10, each built once
+        for memo in (enumerator._children, enumerator._last_keys, enumerator._level_sets):
+            memo.cache_clear()
         asked = []
         real = enumerator._level_sets
 
@@ -265,12 +266,40 @@ class TestNodeWork:
         monkeypatch.setattr(enumerator, "_level_sets", recording)
         for _ in tower_lines(10):
             pass
-        assert len(asked) == enumerator._children.cache_info().misses
-        assert real.cache_info().misses == len(set(asked)) < len(asked)
+        built = set(asked)
+        # each entry of the two memos above asks once, and each level set of
+        # a budget above 1 asks for budget 1 and for the budget below it
+        outer = enumerator._children.cache_info().misses
+        outer += enumerator._last_keys.cache_info().misses
+        assert len(asked) == outer + 2 * sum(size > 1 for _, size in built)
+        assert real.cache_info().misses == len(built) < outer
+
+    def test_budgets_share_their_level_tuples(self, monkeypatch):
+        enumerator._level_sets.cache_clear()
+        asked = set()
+        real = enumerator._level_sets
+
+        def recording(below, max_size):
+            asked.add((below, max_size))
+            return real(below, max_size)
+
+        monkeypatch.setattr(enumerator, "_level_sets", recording)
+        for _ in walk(9):
+            pass
+        larger = [(below, size) for below, size in asked if size > 1]
+        assert len(larger) > 100
+        for below, size in larger:
+            # the levels below the budget are the smaller budget's, in its
+            # order, and each is the very tuple that budget holds
+            smaller = real(below, size - 1)
+            shared = [level for level in real(below, size) if len(level) < size]
+            assert len(shared) == len(smaller), (below, size)
+            assert all(map(operator.is_, shared, smaller)), (below, size)
 
     def test_walk_memo_stays_small(self):
-        # walk(1..10) leaves 921 level sets: 1.2 MB of bare levels, 2.1 MB
-        # when each level was paired with the budget after it
+        # walk(1..10) leaves 921 level sets: 0.8 MB now that a row's budgets
+        # share their level tuples, 1.2 MB when each budget built its own,
+        # 2.1 MB when each level was paired with the budget after it
         enumerator._level_sets.cache_clear()
         tracemalloc.start()
         try:
@@ -280,7 +309,7 @@ class TestNodeWork:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < 1_600_000
+        assert held < 1_000_000
 
     def test_memos_stay_small(self):
         # what tower_lines(10) leaves in the enumerator's memos: 2.4 MB

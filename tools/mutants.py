@@ -162,6 +162,19 @@ REGISTER = (
         ("tests/test_cli.py::TestVerify::test_raising_dissect_fails_round_trip",),
     ),
     Mutant(
+        "verify-census-error-escapes",
+        "src/dominotowers/cli.py",
+        "                try:\n"
+        "                    shape = TowerShape.from_levels(levels)\n"
+        "                    label = model.classify(shape)\n"
+        "                except ValueError as exc:\n"
+        '                    family_mismatches.append(f"census failed on levels {levels}: {exc}")\n'
+        "                    continue\n",
+        "                shape = TowerShape.from_levels(levels)\n"
+        "                label = model.classify(shape)\n",
+        ("tests/test_cli.py::TestVerify::test_raising_classify_fails_census",),
+    ),
+    Mutant(
         # a tower the walk flags convex in error would then fail the census
         # alone, and the round trip would pass over it
         "verify-skips-walk-flag-errors",
@@ -244,6 +257,30 @@ REGISTER = (
         ),
     ),
     Mutant(
+        # a domino may then no longer stand one cell left of the one below it
+        "level-sets-support-loses-its-left-offset",
+        "src/dominotowers/enumerator.py",
+        "(-1, 0, 1)",
+        "(0, 1)",
+        ("tests/test_enumerator.py::TestEnumerate::test_counts_match_binomials",),
+    ),
+    Mutant(
+        # two dominoes of a level may then overlap
+        "level-sets-extension-gap-one-cell",
+        "src/dominotowers/enumerator.py",
+        "top[0] - level[-1] >= 2",
+        "top[0] - level[-1] >= 1",
+        ("tests/test_enumerator.py::TestNodeWork::test_level_sets_match_raw_positions",),
+    ),
+    Mutant(
+        # smaller levels are extended again, so their extensions repeat
+        "level-sets-extend-every-level",
+        "src/dominotowers/enumerator.py",
+        "if len(level) == max_size - 1:",
+        "if len(level) < max_size:",
+        ("tests/test_enumerator.py::TestNodeWork::test_level_sets_match_raw_positions",),
+    ),
+    Mutant(
         "walk-draws-siblings-before-children",
         "src/dominotowers/enumerator.py",
         "stack.append((iter(_level_sets(chosen, left)), grown, state, left))\n"
@@ -298,8 +335,8 @@ REGISTER = (
         # tops no longer share the stride of the keys below them
         "tower-lines-top-keys-take-their-own-stride",
         "src/dominotowers/enumerator.py",
-        "sorted((x - ORIGIN) * DEFAULT_HARD_CAP + y for x in xs)",
-        "sorted((x - ORIGIN) * (DEFAULT_HARD_CAP + 1) + y for x in xs)",
+        "(x - ORIGIN) * DEFAULT_HARD_CAP + y for (x,) in",
+        "(x - ORIGIN) * (DEFAULT_HARD_CAP + 1) + y for (x,) in",
         (
             "tests/test_enumerator.py::TestNodeWork"
             "::test_last_keys_are_the_one_domino_levels",
