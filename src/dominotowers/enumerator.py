@@ -152,7 +152,7 @@ def _level_keys(level: tuple[int, ...], y: int) -> tuple[int, ...]:
 def _last_keys(below: tuple[int, ...], y: int) -> tuple[int, ...]:
     """Left-cell keys at height y of ``_level_sets(below, 1)``'s levels, in its
     order; the right cell's key is DEFAULT_HARD_CAP more."""
-    return tuple((x - ORIGIN) * DEFAULT_HARD_CAP + y for (x,) in _level_sets(below, 1))
+    return tuple(_level_keys(top, y)[0] for top in _level_sets(below, 1))
 
 
 @cache

@@ -94,10 +94,6 @@ class TowerShape(tuple):
         """The (x, y) left cells of the dominoes, sorted."""
         return tuple(sorted((x, y) for y, row in enumerate(self) for x in row))
 
-    @property
-    def n(self) -> int:
-        return sum(len(row) for row in self)
-
     @cached_property
     def cells(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -112,10 +108,6 @@ class TowerShape(tuple):
     @property
     def max_row_b(self) -> int:
         return max(map(len, self))
-
-    @property
-    def top_row_b(self) -> int:
-        return len(self[-1])
 
     def mirror(self) -> "TowerShape":
         """Reflection across a vertical axis, re-canonicalized."""
@@ -226,10 +218,10 @@ def classify(shape: TowerShape) -> TowerClass:
 class Dissection(NamedTuple):
     """Split of a convex tower at its lowest row of maximum length.
 
-    ``lower`` is None exactly when the widest row is the base itself.  Both
-    parts are canonical shapes; ``recombine`` restores the original because
-    the wider upper base has a single legal position on the lower part's top
-    row (one cell of overhang on each side).
+    ``lower`` is None exactly when the widest row is the base, and ``upper``
+    is then the tower itself.  Both parts are canonical shapes; ``recombine``
+    restores the original because the wider upper base has a single legal
+    position on the lower part's top row (one cell of overhang on each side).
     """
 
     lower: TowerShape | None
@@ -243,10 +235,9 @@ def dissect(shape: TowerShape) -> Dissection:
         raise ValueError("dissect requires a convex tower")
     widths = [*map(len, shape)]
     level = widths.index(max(widths))
-    upper = TowerShape.from_levels(shape[level:])
     if level == 0:
-        return Dissection(None, upper)
-    return Dissection(TowerShape.from_levels(shape[:level]), upper)
+        return Dissection(None, shape)
+    return Dissection(*map(TowerShape.from_levels, (shape[:level], shape[level:])))
 
 
 def recombine(dissection: Dissection) -> TowerShape:

@@ -21,9 +21,9 @@ Families, all counted as fixed polyominoes made of n blocks of length k
   as the coefficient-level convolution
       c(b, n) = sum_m (g(b, m) + [m = 0]) * (2 r(b, n-m) + h(b, n-m))
   over row b of the g, r and h tables: each is grown once through the top
-  column, 2r + h is built once from column b up, and only the nonzero g
-  terms are summed.  It is zero for n < b.  This path is deliberately
-  independent of the series module so the two can cross-check each other.
+  column, 2r + h is built once, and only the nonzero g terms are summed.
+  It is zero for n < b.  This path is deliberately independent of the
+  series module so the two can cross-check each other.
 
 Tables only ever grow in n, never rebuilt.  A row is zero left of its first
 non-zero column (none for b < 1 or g's row 1); a g or h row then starts with
@@ -194,12 +194,13 @@ def _convex(b: int, columns: range) -> list[int]:
     g_table.ensure(b, top)
     r_table.ensure(b, top)
     g_row, r_row, h_row = g_table._rows[b], r_table._rows[b], _table("h", 2)._rows[b]
-    # 2r + h is 0 below column b; g(b, 0) is 0, so [m = 0] is the m = 0 term
-    tail = [0] * b + [2 * r_row[j] + h_row[j] for j in range(b, top + 1)]
-    terms = [(0, 1)] + [(m, g_row[m]) for m in range(1, top - b + 1) if g_row[m]]
+    # the rows hold 2r + h = 0 below column b and g(b, 0) = 0, so [m = 0] starts
+    # each column; g_row[: top - b + 1] would read the row's end when top < b
+    tail = [2 * r + h for r, h in zip(r_row[: top + 1], h_row)]
+    terms = [(m, g_row[m]) for m in range(top - b + 1) if g_row[m]]
     out = []
     for n in columns:
-        total = 0
+        total = tail[n]
         for m, v in terms:
             if m > n - b:
                 break

@@ -135,7 +135,7 @@ def test_criterion_05_oracle_equivalence():
         supporting = {}
         for shape in enumerate_towers(n):
             if is_supporting(shape):
-                key = shape.top_row_b + 1
+                key = len(shape[-1]) + 1
                 supporting[key] = supporting.get(key, 0) + 1
         for b in range(1, n + 1):
             if stacks.get(b, 0) != recurrences.h(b, n):
@@ -236,7 +236,7 @@ def test_criterion_10_dissection_round_trip():
             if recombine(d) != shape:
                 problems.append(f"round trip failed for {shape}")
                 continue
-            lower_size = d.lower.n if d.lower is not None else 0
+            lower_size = sum(map(len, d.lower)) if d.lower is not None else 0
             label = classify(d.upper)
             key = (shape.max_row_b, lower_size, label)
             pairs[key] = pairs.get(key, 0) + 1

@@ -2,9 +2,12 @@
 
 import hashlib
 import operator
-import tracemalloc
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,26 @@ from references import gapfree_partition_census, partitions
 
 CONVEX = frozenset(TowerClass) - {TowerClass.NON_CONVEX}
 BASE, WIDEST = 0, 1  # positions in a census key (base, widest row, class)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def held_bytes(code):
+    """The bytes ``tracemalloc`` sees held after ``code`` runs in a fresh
+    interpreter, started once ``enumerator`` is imported and its memos empty;
+    no other test's allocations share the count."""
+    script = (
+        "import tracemalloc\n"
+        "from dominotowers import enumerator\n"
+        "tracemalloc.start()\n"
+        f"{code}\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 def towers(n, b=None):
@@ -300,37 +323,18 @@ class TestNodeWork:
         # walk(1..10) leaves 921 level sets: 0.8 MB now that a row's budgets
         # share their level tuples, 1.2 MB when each budget built its own,
         # 2.1 MB when each level was paired with the budget after it
-        enumerator._level_sets.cache_clear()
-        tracemalloc.start()
-        try:
-            for n in range(1, 11):
-                for _ in walk(n):
-                    pass
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        held = held_bytes(
+            "for n in range(1, 11):\n"
+            "    for _ in enumerator.walk(n):\n"
+            "        pass"
+        )
         assert held < 1_000_000
 
     def test_memos_stay_small(self):
         # what tower_lines(10) leaves in the enumerator's memos: 2.4 MB
         # before the _children memo, 2.6 MB with its flat records; a
         # layout that doubles them fails
-        memos = (
-            enumerator._level_sets,
-            enumerator._level_keys,
-            enumerator._last_keys,
-            enumerator._children,
-            enumerator._texts,
-        )
-        for memo in memos:
-            memo.cache_clear()
-        tracemalloc.start()
-        try:
-            for _ in tower_lines(10):
-                pass
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        held = held_bytes("for _ in enumerator.tower_lines(10):\n    pass")
         assert held < 5_000_000
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -412,7 +416,7 @@ class TestCensus:
             counts = {}
             for t in towers(n):
                 if is_supporting(t):
-                    b = t.top_row_b + 1
+                    b = len(t[-1]) + 1
                     counts[b] = counts.get(b, 0) + 1
             for b in range(2, n + 2):
                 assert counts.get(b, 0) == recurrences.g(b, n), (b, n)

@@ -312,7 +312,7 @@ class TestConvexity:
         t = CONVEX_18_4
         assert validate(t)
         assert t.convex
-        assert t.n == 18
+        assert sum(map(len, t)) == 18
         assert t.max_row_b == 4
 
     def test_gapped_row_not_convex(self):
@@ -452,9 +452,9 @@ class TestDissection:
     def test_large_example_split(self):
         d = dissect(CONVEX_18_4)
         assert len(d.lower) == 4
-        assert d.lower.n == 8
+        assert sum(map(len, d.lower)) == 8
         assert [len(row) for row in d.lower] == [1, 2, 2, 3]
-        assert d.upper.n == 10
+        assert sum(map(len, d.upper)) == 10
         assert len(d.upper[0]) == 4
         assert classify(d.upper) is TowerClass.STACK
         assert recombine(d) == CONVEX_18_4
@@ -484,7 +484,7 @@ class TestDissection:
                 )
                 if d.lower is not None:
                     assert is_supporting(d.lower)
-                    assert d.lower.top_row_b == t.max_row_b - 1
+                    assert len(d.lower[-1]) == t.max_row_b - 1
                 key = (d.lower, d.upper)
                 assert key not in seen, "dissection must be injective"
                 seen[key] = t
@@ -507,6 +507,18 @@ class TestDissection:
                     assert (label is TowerClass.LEFT_SKEWED) == (
                         min(columns) < base[0]
                     ), t
+
+    def test_a_widest_base_is_its_own_upper_part(self):
+        # validate asks for a canonical tower, so a tower with nothing below
+        # its widest row is its upper part as it stands, not a copy
+        whole = 0
+        for n in range(1, 9):
+            for t in convex_towers(n):
+                if len(t[0]) == t.max_row_b:
+                    d = dissect(t)
+                    assert d.lower is None and d.upper is t, t
+                    whole += 1
+        assert whole == 1690  # of the 2229 convex towers with n <= 8
 
     def test_mirror_swaps_skew_classes(self):
         for n in range(1, 7):
@@ -535,7 +547,8 @@ class TestDissection:
             key = (d.lower, d.upper)
             assert key not in seen
             seen.add(key)
-            tally = (t.max_row_b, d.lower.n if d.lower else 0, classify(d.upper))
+            lower_size = sum(map(len, d.lower)) if d.lower else 0
+            tally = (t.max_row_b, lower_size, classify(d.upper))
             pairs[tally] = pairs.get(tally, 0) + 1
         for b in range(1, n + 1):
             for m in range(0, n + 1):

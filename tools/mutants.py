@@ -143,6 +143,18 @@ REGISTER = (
         ),
     ),
     Mutant(
+        # a tower whose widest row is one above the base then loses its
+        # lower part, as if the base were a widest row
+        "dissect-keeps-a-tower-widest-one-up-whole",
+        "src/dominotowers/model.py",
+        "if level == 0:",
+        "if level <= 1:",
+        (
+            "tests/test_model.py::TestDissection"
+            "::test_upper_parts_are_the_towers_on_a_widest_base",
+        ),
+    ),
+    Mutant(
         "verify-order-check-allows-repeats",
         "src/dominotowers/cli.py",
         "prev < levels",
@@ -246,6 +258,15 @@ REGISTER = (
         ),
     ),
     Mutant(
+        # each column then loses its [m = 0] term, the stacks and skewed
+        # towers on the widest base
+        "convex-columns-drop-their-m-0-term",
+        "src/dominotowers/recurrences.py",
+        "total = tail[n]",
+        "total = 0",
+        ("tests/test_cli.py::TestCount::test_convex_cell",),
+    ),
+    Mutant(
         # m > n - b + 1 would be an equivalent mutant: tail[b - 1] is 0
         "convex-convolution-drops-its-last-term",
         "src/dominotowers/recurrences.py",
@@ -331,12 +352,11 @@ REGISTER = (
         ("tests/test_enumerator.py::TestTowerLines::test_equals_str_of_every_shape",),
     ),
     Mutant(
-        # each memo alone still sorts its keys by (x, y), but the one-domino
-        # tops no longer share the stride of the keys below them
-        "tower-lines-top-keys-take-their-own-stride",
+        # each top's key is then its right cell's, one stride past its left
+        "tower-lines-top-keys-read-the-right-cell",
         "src/dominotowers/enumerator.py",
-        "(x - ORIGIN) * DEFAULT_HARD_CAP + y for (x,) in",
-        "(x - ORIGIN) * (DEFAULT_HARD_CAP + 1) + y for (x,) in",
+        "_level_keys(top, y)[0]",
+        "_level_keys(top, y)[1]",
         (
             "tests/test_enumerator.py::TestNodeWork"
             "::test_last_keys_are_the_one_domino_levels",
