@@ -164,23 +164,21 @@ def run_verifications(max_n: int) -> list[tuple[str, bool, str]]:
                 ordered, prev = ordered and prev < levels, levels
                 if not convex:
                     continue
-                # a walked tower that the model refuses to build or label
-                # fails the census, as the counts can no longer agree
+                # a walked tower that the model refuses to build, label, split
+                # or rejoin fails the census, as the counts can no longer
+                # agree: so does one the walk flags convex in error
                 try:
                     shape = TowerShape.from_levels(levels)
                     label = model.classify(shape)
+                    parts = dissect(shape)
+                    restored = recombine(parts)
                 except ValueError as exc:
                     family_mismatches.append(f"census failed on levels {levels}: {exc}")
                     continue
                 tally[label, b] += 1
-                tally["c", shape.max_row_b] += 1
-                # a check that raises on a walked shape is a mismatch too, as
-                # when dissect refuses a tower the walk flags convex in error
-                try:
-                    if recombine(dissect(shape)) != shape:
-                        dissect_mismatches.append(f"round trip failed for {shape}")
-                except ValueError as exc:
-                    dissect_mismatches.append(f"round trip failed for {shape}: {exc}")
+                tally["c", len(parts.upper[0])] += 1  # dissect splits at a widest row
+                if restored != shape:
+                    dissect_mismatches.append(f"round trip failed for {shape}")
             expected = comb(2 * n - 1, n - b)
             total += count
             shapes_checked += count

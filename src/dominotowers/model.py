@@ -105,10 +105,6 @@ class TowerShape(tuple):
         """Row and column convexity of the occupied cells, computed once per shape."""
         return _convex(self)
 
-    @property
-    def max_row_b(self) -> int:
-        return max(map(len, self))
-
     def mirror(self) -> "TowerShape":
         """Reflection across a vertical axis, re-canonicalized."""
         return TowerShape.from_levels(
@@ -204,7 +200,7 @@ def classify(shape: TowerShape) -> TowerClass:
     lo, hi = shape[0][0], shape[0][-1]
     if all(row[0] >= lo and row[-1] <= hi for row in shape):
         return TowerClass.STACK
-    if len(shape[0]) == shape.max_row_b and all(
+    if len(shape[0]) == max(map(len, shape)) and all(
         up[0] >= row[0] - 1 and up[-1] <= row[-1] + 1 for row, up in zip(shape, shape[1:])
     ):
         if any(row[-1] > hi for row in shape):

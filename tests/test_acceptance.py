@@ -238,7 +238,7 @@ def test_criterion_10_dissection_round_trip():
                 continue
             lower_size = sum(map(len, d.lower)) if d.lower is not None else 0
             label = classify(d.upper)
-            key = (shape.max_row_b, lower_size, label)
+            key = (max(map(len, shape)), lower_size, label)
             pairs[key] = pairs.get(key, 0) + 1
         for b in range(1, n + 1):
             for m in range(0, n + 1):

@@ -310,8 +310,9 @@ class TestVerify:
             "round trip failed for 0,1 1,0 1,1 2,0 2,1 3,1"
         )
 
-    def test_raising_dissect_fails_round_trip(self, capsys, monkeypatch):
-        # a check that raises is a mismatch naming the shape, not a usage error
+    def test_raising_dissect_fails_census(self, capsys, monkeypatch):
+        # a split that raises is a census mismatch naming the levels, not a
+        # usage error; the refused tower is left out of every count
         def refusing(shape):
             raise ValueError("dissect requires a valid tower")
 
@@ -319,11 +320,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == 1
         lines = out.splitlines()
-        assert [line[:4] for line in lines] == ["PASS", "PASS", "FAIL"]
-        assert lines[2].startswith(
-            "FAIL dissection round trip on every convex shape: "
-            "round trip failed for 0,0 1,0: dissect requires a valid tower; "
-            "round trip failed for 0,1 1,0 1,1 2,0: dissect requires a valid tower; "
+        assert [line[:4] for line in lines] == ["PASS", "FAIL", "PASS"]
+        assert lines[1].startswith(
+            "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
+            "census failed on levels ((0,),): dissect requires a valid tower; "
+            "h(1,1): census 0 != recurrence 1; c(1,1): census 0 != recurrence 1; "
+            "census failed on levels ((0,), (-1,)): dissect requires a valid tower; "
         )
 
     def test_raising_classify_fails_census(self, capsys, monkeypatch):
@@ -368,8 +370,8 @@ class TestVerify:
         )
 
     def test_non_convex_flagged_convex_fails_census(self, capsys, monkeypatch):
-        # the other direction: classify still labels the tower, so the
-        # convex count rises, and dissect's refusal fails the round trip
+        # the other direction: classify labels the tower non-convex, and
+        # dissect's refusal fails the census, naming its levels
         real = cli.walk
 
         def adding(n, b=None):
@@ -382,13 +384,35 @@ class TestVerify:
         monkeypatch.setattr(cli, "walk", adding)
         code, out, _ = run(capsys, "verify", "--max-n", "4")
         assert code == 1
-        assert out.splitlines()[1] == (
+        lines = out.splitlines()
+        assert [line[:4] for line in lines] == ["PASS", "FAIL", "PASS"]
+        assert lines[1] == (
             "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
-            "c(2,4): census 19 != recurrence 18"
+            "census failed on levels ((0, 2), (1,), (2,)): "
+            "dissect requires a convex tower"
         )
-        assert out.splitlines()[2] == (
-            "FAIL dissection round trip on every convex shape: round trip failed "
-            "for 0,0 1,0 1,1 2,0 2,1 2,2 3,0 3,2: dissect requires a convex tower"
+
+    def test_split_tower_kept_whole_fails_census(self, capsys, monkeypatch):
+        # the convex census reads the widest row off the split, so a dissect
+        # that keeps a tower widest one row up whole moves it to its base's
+        # cell; the round trip alone still passes
+        real = cli.dissect
+
+        def keeping(shape):
+            widths = [*map(len, shape)]
+            if widths.index(max(widths)) == 1:
+                return model.Dissection(None, shape)
+            return real(shape)
+
+        monkeypatch.setattr(cli, "dissect", keeping)
+        code, out, _ = run(capsys, "verify", "--max-n", "4")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line[:4] for line in lines] == ["PASS", "FAIL", "PASS"]
+        assert lines[1] == (
+            "FAIL census equals recurrences for h, r, c (and mirror symmetry): "
+            "c(1,3): census 8 != recurrence 7; c(2,3): census 5 != recurrence 6; "
+            "c(1,4): census 20 != recurrence 15; c(2,4): census 13 != recurrence 18"
         )
 
     def test_missing_tower_fails_count_and_total(self, capsys, monkeypatch):

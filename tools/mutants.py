@@ -8,6 +8,10 @@ All the ids first run once on an unedited copy, where they must pass, so a
 renamed or broken test cannot count as a kill.  Exit status 1 when any
 mutant survives or the unedited run fails.  Standard library only.
 
+Each copy also runs `python -m dominotowers verify --max-n 8`, which must
+exit 0 unedited; the last line, `tool catches K of N`, counts the entries
+whose copy makes it exit 1: the program's own catch score.
+
     python3 tools/mutants.py
 """
 
@@ -162,42 +166,49 @@ REGISTER = (
         ("tests/test_cli.py::TestVerify::test_duplicate_shape_fails_count_check",),
     ),
     Mutant(
-        "verify-check-error-escapes",
-        "src/dominotowers/cli.py",
-        "                try:\n"
-        "                    if recombine(dissect(shape)) != shape:\n"
-        '                        dissect_mismatches.append(f"round trip failed for {shape}")\n'
-        "                except ValueError as exc:\n"
-        '                    dissect_mismatches.append(f"round trip failed for {shape}: {exc}")\n',
-        "                if recombine(dissect(shape)) != shape:\n"
-        '                    dissect_mismatches.append(f"round trip failed for {shape}")\n',
-        ("tests/test_cli.py::TestVerify::test_raising_dissect_fails_round_trip",),
-    ),
-    Mutant(
-        "verify-census-error-escapes",
+        # a refusal then escapes verify as a usage error, not a census FAIL
+        "verify-model-error-escapes",
         "src/dominotowers/cli.py",
         "                try:\n"
         "                    shape = TowerShape.from_levels(levels)\n"
         "                    label = model.classify(shape)\n"
+        "                    parts = dissect(shape)\n"
+        "                    restored = recombine(parts)\n"
         "                except ValueError as exc:\n"
         '                    family_mismatches.append(f"census failed on levels {levels}: {exc}")\n'
         "                    continue\n",
         "                shape = TowerShape.from_levels(levels)\n"
-        "                label = model.classify(shape)\n",
-        ("tests/test_cli.py::TestVerify::test_raising_classify_fails_census",),
+        "                label = model.classify(shape)\n"
+        "                parts = dissect(shape)\n"
+        "                restored = recombine(parts)\n",
+        (
+            "tests/test_cli.py::TestVerify::test_raising_classify_fails_census",
+            "tests/test_cli.py::TestVerify::test_raising_dissect_fails_census",
+        ),
     ),
     Mutant(
-        # a tower the walk flags convex in error would then fail the census
-        # alone, and the round trip would pass over it
+        # a tower the walk flags convex in error would then be dropped
+        # before dissect refuses it, and no check would name it
         "verify-skips-walk-flag-errors",
         "src/dominotowers/cli.py",
-        'tally["c", shape.max_row_b] += 1\n',
-        'tally["c", shape.max_row_b] += 1\n'
-        "                if label is TowerClass.NON_CONVEX:\n"
-        "                    continue\n",
+        "                    label = model.classify(shape)\n",
+        "                    label = model.classify(shape)\n"
+        "                    if label is TowerClass.NON_CONVEX:\n"
+        "                        continue\n",
         (
             "tests/test_cli.py::TestVerify"
             "::test_non_convex_flagged_convex_fails_census",
+        ),
+    ),
+    Mutant(
+        # each convex tower is then counted under its top row's width
+        "verify-census-reads-the-top-row",
+        "src/dominotowers/cli.py",
+        "len(parts.upper[0])",
+        "len(parts.upper[-1])",
+        (
+            "tests/test_cli.py::TestVerify"
+            "::test_split_tower_kept_whole_fails_census",
         ),
     ),
     Mutant(
@@ -372,8 +383,9 @@ REGISTER = (
 )
 
 
-def run(mutant: Mutant | None, tests) -> int:
-    """pytest's exit status on tests in a copy of the tree, edited by mutant."""
+def run(mutant: Mutant | None, tests) -> tuple[int, int]:
+    """Exit statuses of pytest on tests and of `verify --max-n 8` in a copy
+    of the tree, edited by mutant."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -389,31 +401,40 @@ def run(mutant: Mutant | None, tests) -> int:
                 raise ValueError(f"{mutant.name}: old text must occur once in {mutant.file}")
             path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-        done = subprocess.run(
-            [*command, *tests], cwd=tree, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        pytest = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+        verify = [sys.executable, "-m", "dominotowers", "verify", "--max-n", "8"]
+        return tuple(
+            subprocess.run(
+                command, cwd=tree, env=env,
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            ).returncode
+            for command in ([*pytest, *tests], verify)
         )
-        return done.returncode
 
 
 def main() -> int:
     started = time.monotonic()
     tests = list(dict.fromkeys(t for m in REGISTER for t in m.tests))
-    status = run(None, tests)
-    print(f"unedited copy: pytest exit {status} on {len(tests)} ids")
-    if status != 0:
+    status, verified = run(None, tests)
+    print(f"unedited copy: pytest exit {status} on {len(tests)} ids, verify exit {verified}")
+    if status != 0 or verified != 0:
         return 1
     survivors = []
+    caught = 0
     for mutant in REGISTER:
-        status = run(mutant, mutant.tests)
-        print(f"{mutant.name}: {'killed' if status else 'SURVIVED'} (pytest exit {status})")
+        status, verified = run(mutant, mutant.tests)
+        print(
+            f"{mutant.name}: {'killed' if status else 'SURVIVED'} (pytest exit {status})"
+            f", verify exit {verified}"
+        )
         if not status:
             survivors.append(mutant.name)
+        caught += verified == 1
     print(
         f"{len(REGISTER) - len(survivors)} of {len(REGISTER)} killed"
         f" in {time.monotonic() - started:.1f} s"
     )
+    print(f"tool catches {caught} of {len(REGISTER)}")
     return 1 if survivors else 0
 
 
