@@ -8,10 +8,13 @@ Handlers check their arguments, raise and print results; ``main`` alone
 turns an exception into an exit code and an ``error: ...`` line on stderr,
 except that a reader closing stdout early gets exit 3 and no message.  The
 argument parser is built once per process and shared by every ``main`` call.
-When the first argument names a command, ``main`` hands the rest straight to
-that command's parser, so the tokens are parsed once; any other argument list
-(empty, ``-h``, an unknown word, an option first) goes through the top-level
-parser, the only one that prints top-level help and usage errors.
+When the first argument names a command and the rest are that command's
+positionals in order, then distinct ``--option value`` pairs whose values
+convert and are among their choices, ``main`` builds the namespace from the
+command parser's own actions with no argparse pass; any other rest goes to
+that command's parser, one pass.  Any other argument list (empty, ``-h``, an
+unknown word, an option first) goes through the top-level parser, the only
+one that prints top-level help and usage errors.
 """
 
 from __future__ import annotations
@@ -102,6 +105,54 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_oeis.add_argument("--bfile", required=True)
 
     return parser, sub.choices
+
+
+@cache
+def _grammar(command: argparse.ArgumentParser):
+    """A command's positionals, its options by option string, every action's
+    default and the required dests, read off the command parser's own actions
+    (help aside); None when an action stores other than one value."""
+    actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+    if any(type(a) is not argparse._StoreAction or a.nargs is not None for a in actions):
+        return None
+    positionals = [a for a in actions if not a.option_strings]
+    options = {s: a for a in actions for s in a.option_strings}
+    defaults = {a.dest: a.default for a in actions}
+    return positionals, options, defaults, {a.dest for a in actions if a.required}
+
+
+def _plain_args(
+    command: argparse.ArgumentParser, tokens: list[str]
+) -> argparse.Namespace | None:
+    """The namespace ``command.parse_known_args(tokens)`` gives, built without
+    argparse, when the tokens are the command's positionals in order and then
+    distinct ``--option value`` pairs naming its exact option strings, each
+    value non-empty, not starting with ``-``, of its action's type and among
+    its choices, with every required option given; otherwise None, and
+    argparse decides (abbreviations, ``--opt=value``, ``--``, help, errors)."""
+    grammar = _grammar(command)
+    if grammar is None:
+        return None
+    positionals, options, defaults, required = grammar
+    rest = tokens[len(positionals):]
+    if len(tokens) < len(positionals) or len(rest) % 2:
+        return None
+    named = [(options.get(option), value) for option, value in zip(rest[::2], rest[1::2])]
+    values = {}
+    for action, value in [*zip(positionals, tokens), *named]:
+        if action is None or not value or value[0] == "-" or action.dest in values:
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
 
 
 def cmd_count(args) -> int:
@@ -292,10 +343,12 @@ def main(argv: list[str] | None = None) -> int:
     if command is None:
         args = build_parser().parse_args(argv)
     else:
-        # what parse_args would do, minus its pass that only picks the command
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _plain_args(command, argv[1:])
+        if args is None:
+            # what parse_args would do, minus its pass that only picks the command
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     handlers = {
         "count": cmd_count,

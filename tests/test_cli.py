@@ -4,10 +4,12 @@ import argparse
 import ast
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -760,6 +762,91 @@ PARSE_CORPUS = [
 ]
 
 
+# values a corpus argv may carry: good ones first, then the odd ones whose
+# parse argparse alone may decide
+INTS = ("3", "12", "0", "-1", "+3", "\u0663", "1e3", " 3", "", "0x10",
+        "12345678901234567890", "9" * 5000, "three")
+FAMILY = ("g", "c", "h", "r", "z", "", "-g")
+FORMAT = ("csv", "markdown", "tsv", "md", "json")
+CORPUS_GRAMMAR = {  # command: (positional value pools, option value pools)
+    "count": ((FAMILY,), {"--b": INTS, "--n": INTS, "--k": INTS}),
+    "table": ((FAMILY,), {"--max-n": INTS, "--max-b": INTS, "--k": INTS,
+                          "--format": FORMAT}),
+    "theta": ((), {"--max-b": INTS, "--decimals": INTS, "--format": FORMAT}),
+    "verify": ((), {"--max-n": INTS}),
+    "enumerate": ((), {"--n": INTS, "--b": INTS}),
+    "series": ((FAMILY,), {"--b": INTS, "--order": INTS,
+                           "--method": ("functional", "closed-form", "closed", "-f")}),
+    "oeis-check": ((("A275662", "A000001", "", "-A"),),
+                   {"--family": FAMILY + ("partitions", "constant"),
+                    "--bfile": ("b.txt", "x y", "", "-")}),
+}
+
+
+def corpus_argv(rng):
+    """One argv over a random command: mostly positionals then ``--option
+    value`` pairs, about half of them bent into a form argparse alone reads."""
+
+    def pick(pool):
+        return rng.choice(pool[:2] if rng.random() < 0.6 else pool)
+
+    name = rng.choice(sorted(CORPUS_GRAMMAR))
+    pools, options = CORPUS_GRAMMAR[name]
+    words = [pick(pool) for pool in pools]
+    items = [[opt, pick(pool)] for opt, pool in options.items() if rng.random() < 0.9]
+    rng.shuffle(items)
+    form = rng.choice(["plain"] * 8 + [
+        "equals", "abbreviation", "repeat", "option-first", "dash-dash", "help",
+        "unknown", "extra-word", "no-positional",
+    ])
+    if form == "equals" and items:
+        items[0] = [f"{items[0][0]}={items[0][1]}"]
+    elif form == "abbreviation" and items and len(items[0][0]) > 3:
+        items[0][0] = items[0][0][: rng.randrange(3, len(items[0][0]))]
+    elif form == "repeat" and items:
+        items.append([items[0][0], pick(options[items[0][0]])])
+    elif form == "option-first" and items and words:
+        items.insert(1, words)
+        words = []
+    elif form == "no-positional":
+        words = []
+    tokens = [*words, *chain.from_iterable(items)]
+    extra = {"dash-dash": "--", "help": rng.choice(("-h", "--he", "--help")),
+             "unknown": "--x", "extra-word": "extra"}.get(form)
+    if extra:
+        tokens.insert(rng.randrange(len(tokens) + 1), extra)
+    return [name, *tokens]
+
+
+def top_level_twin(capsys, monkeypatch):
+    """With every ``cmd_*`` replaced by a recorder, a function of an argv
+    giving ``main``'s outcome and the top-level ``parse_args``' outcome: the
+    exit code, the bytes on stdout and stderr, and the namespace handed on."""
+    parsed = []
+
+    def record(args):
+        parsed.append(vars(args))
+        return 0
+
+    for name in ("count", "table", "theta", "verify", "enumerate", "series",
+                 "oeis_check"):
+        monkeypatch.setattr(cli, f"cmd_{name}", record)
+
+    def outcome(call):
+        parsed.clear()
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return (code, captured.out, captured.err, *parsed)
+
+    return lambda argv: (
+        outcome(lambda: main(list(argv))),
+        outcome(lambda: record(build_parser().parse_args(argv))),
+    )
+
+
 class TestParser:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
@@ -772,36 +859,45 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
     def test_dispatch_parses_as_the_top_level_parser(self, capsys, monkeypatch, argv):
-        # main hands a known command's tokens to its own parser; the result
-        # must be what the two-pass parse_args gives: the same namespace, or
-        # the same exit code and bytes on stdout and stderr
-        parsed = []
+        # main parses a known command's tokens itself or hands them to its
+        # own parser; the result must be what the two-pass parse_args gives:
+        # the same namespace, or the same exit code and bytes on stdout and
+        # stderr
+        got, expected = top_level_twin(capsys, monkeypatch)(argv)
+        assert got == expected and got[0] in (0, 2)
+        assert len(got) == 3 or got[:3] == (0, "", "")
 
-        def record(args):
-            parsed.append(args)
-            return 0
+    def test_seeded_corpus_parses_as_the_top_level_parser(self, capsys, monkeypatch):
+        twin = top_level_twin(capsys, monkeypatch)
+        rng = random.Random(51)
+        parsed = 0
+        for _ in range(2400):
+            argv = corpus_argv(rng)
+            got, expected = twin(argv)
+            assert got == expected, argv
+            parsed += len(got) == 4
+        assert 600 <= parsed <= 1800  # both outcomes are well represented
 
-        for name in ("count", "table", "theta", "verify", "enumerate", "series",
-                     "oeis_check"):
-            monkeypatch.setattr(cli, f"cmd_{name}", record)
-
-        def outcome(call):
-            try:
-                code = call()
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
-        got = outcome(lambda: main(list(argv)))
-        expected = outcome(lambda: record(build_parser().parse_args(argv)))
-        if parsed:
-            assert len(parsed) == 2 and vars(parsed[0]) == vars(parsed[1])
-            assert got == expected == (0, "", "")
-        else:
-            assert got == expected and got[0] in (0, 2)
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            pytest.param(["A275662", "--bfile", ""], id="empty-value"),
+            pytest.param(["h", "--b", "-2", "--n", "4"], id="negative-number"),
+            pytest.param(["h", "--b=2", "--n", "4"], id="option-with-equals"),
+            pytest.param(["h", "--b", "2", "--n", "4", "--b", "3"], id="repeated-option"),
+            pytest.param(["--b", "2", "h", "--n", "4"], id="option-first"),
+            pytest.param(["h", "--b", "two", "--n", "4"], id="not-an-int"),
+            pytest.param(["z", "--b", "2", "--n", "4"], id="out-of-choices"),
+            pytest.param(["h", "--b", "2"], id="required-option-missing"),
+        ],
+    )
+    def test_plain_args_leaves_the_rest_to_argparse(self, tokens):
+        name = "oeis-check" if tokens[0] == "A275662" else "count"
+        assert cli._plain_args(cli._parsers()[1][name], tokens) is None
 
     def test_one_parse_per_call(self, capsys, monkeypatch):
+        # a plain argument list is parsed with no argparse pass; any other
+        # one with a single pass, by the command's own parser
         argv = ["count", "h", "--b", "2", "--n", "4"]
         main(argv)  # warm: the parser is built and the table is filled
         calls = []
@@ -813,8 +909,10 @@ class TestParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         assert main(argv) == 0
+        assert calls == []
+        assert main(["count", "h", "--b=2", "--n", "4"]) == 0
         assert calls == ["dominotowers count"]
-        assert capsys.readouterr().out == f"{recurrences.h(2, 4)}\n" * 2
+        assert capsys.readouterr().out == f"{recurrences.h(2, 4)}\n" * 3
 
 
 def fresh_process(argv):

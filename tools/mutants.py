@@ -374,6 +374,31 @@ REGISTER = (
         ),
     ),
     Mutant(
+        "plain-args-skip-the-choices-check",
+        "src/dominotowers/cli.py",
+        "        if action.choices is not None and value not in action.choices:\n"
+        "            return None\n",
+        "",
+        ("tests/test_cli.py::TestParser::test_plain_args_leaves_the_rest_to_argparse"
+         "[out-of-choices]",),
+    ),
+    Mutant(
+        "plain-args-accept-a-repeated-option",
+        "src/dominotowers/cli.py",
+        ' or action.dest in values:',
+        ':',
+        ("tests/test_cli.py::TestParser::test_plain_args_leaves_the_rest_to_argparse"
+         "[repeated-option]",),
+    ),
+    Mutant(
+        "plain-args-accept-a-value-starting-with-a-dash",
+        "src/dominotowers/cli.py",
+        'or not value or value[0] == "-"',
+        'or not value',
+        ("tests/test_cli.py::TestParser::test_plain_args_leaves_the_rest_to_argparse"
+         "[negative-number]",),
+    ),
+    Mutant(
         "enumerate-batch-drops-its-last-newline",
         "src/dominotowers/cli.py",
         '"\\n".join(batch) + "\\n"',
