@@ -8,13 +8,13 @@ Handlers check their arguments, raise and print results; ``main`` alone
 turns an exception into an exit code and an ``error: ...`` line on stderr,
 except that a reader closing stdout early gets exit 3 and no message.  The
 argument parser is built once per process and shared by every ``main`` call.
-When the first argument names a command and the rest are that command's
-positionals in order, then distinct ``--option value`` pairs whose values
-convert and are among their choices, ``main`` builds the namespace from the
-command parser's own actions with no argparse pass; any other rest goes to
-that command's parser, one pass.  Any other argument list (empty, ``-h``, an
-unknown word, an option first) goes through the top-level parser, the only
-one that prints top-level help and usage errors.
+``main`` parses an argument list in one of two ways.  When the first argument
+names a command and the rest are that command's positionals in order, then
+distinct ``--option value`` pairs whose values convert and are among their
+choices, it builds the namespace from the command parser's own actions with
+no argparse pass.  Any other list (empty, ``-h``, an unknown word, an option
+first, ``--opt=value``, a usage error) goes to ``build_parser().parse_args``,
+the reference both ways must agree with.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser, built once."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser and, per command, its positionals, options by
+    option string, defaults and required dests, built once off its parser's
+    actions (help aside; each stores one value, as a tier-1 test checks)."""
     parser = argparse.ArgumentParser(
         prog="dominotowers",
         description="Count, enumerate, and verify convex domino towers.",
@@ -104,42 +106,35 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_oeis.add_argument("--family", choices=oeis.FAMILY_CHOICES, default=None)
     p_oeis.add_argument("--bfile", required=True)
 
-    return parser, sub.choices
+    grammars = {}
+    for name, command in sub.choices.items():
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        grammars[name] = (
+            [a for a in actions if not a.option_strings],
+            {s: a for a in actions for s in a.option_strings},
+            {a.dest: a.default for a in actions},
+            {a.dest for a in actions if a.required},
+        )
+    return parser, grammars
 
 
-@cache
-def _grammar(command: argparse.ArgumentParser):
-    """A command's positionals, its options by option string, every action's
-    default and the required dests, read off the command parser's own actions
-    (help aside); None when an action stores other than one value."""
-    actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
-    if any(type(a) is not argparse._StoreAction or a.nargs is not None for a in actions):
-        return None
-    positionals = [a for a in actions if not a.option_strings]
-    options = {s: a for a in actions for s in a.option_strings}
-    defaults = {a.dest: a.default for a in actions}
-    return positionals, options, defaults, {a.dest for a in actions if a.required}
-
-
-def _plain_args(
-    command: argparse.ArgumentParser, tokens: list[str]
-) -> argparse.Namespace | None:
-    """The namespace ``command.parse_known_args(tokens)`` gives, built without
-    argparse, when the tokens are the command's positionals in order and then
-    distinct ``--option value`` pairs naming its exact option strings, each
-    value non-empty, not starting with ``-``, of its action's type and among
-    its choices, with every required option given; otherwise None, and
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)``'s namespace, built without argparse
+    when ``argv[0]`` names a command and the rest are its positionals in order,
+    then distinct ``--option value`` pairs naming its exact option strings,
+    each value non-empty, not starting with ``-``, of its action's type and
+    among its choices, with every required option given; otherwise None, and
     argparse decides (abbreviations, ``--opt=value``, ``--``, help, errors)."""
-    grammar = _grammar(command)
+    grammar = _parsers()[1].get(argv[0]) if argv else None
     if grammar is None:
         return None
     positionals, options, defaults, required = grammar
-    rest = tokens[len(positionals):]
-    if len(tokens) < len(positionals) or len(rest) % 2:
+    rest = argv[1 + len(positionals):]
+    if len(argv) <= len(positionals) or len(rest) % 2:
         return None
     named = [(options.get(option), value) for option, value in zip(rest[::2], rest[1::2])]
     values = {}
-    for action, value in [*zip(positionals, tokens), *named]:
+    for action, value in [*zip(positionals, argv[1:]), *named]:
         if action is None or not value or value[0] == "-" or action.dest in values:
             return None
         if action.type is not None:
@@ -152,7 +147,7 @@ def _plain_args(
         values[action.dest] = value
     if not required <= values.keys():
         return None
-    return argparse.Namespace(**{**defaults, **values})
+    return argparse.Namespace(command=argv[0], **{**defaults, **values})
 
 
 def cmd_count(args) -> int:
@@ -339,17 +334,7 @@ def cmd_oeis_check(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = _parsers()[1].get(argv[0]) if argv else None
-    if command is None:
-        args = build_parser().parse_args(argv)
-    else:
-        args = _plain_args(command, argv[1:])
-        if args is None:
-            # what parse_args would do, minus its pass that only picks the command
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     handlers = {
         "count": cmd_count,
         "table": cmd_table,

@@ -859,10 +859,10 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
     def test_dispatch_parses_as_the_top_level_parser(self, capsys, monkeypatch, argv):
-        # main parses a known command's tokens itself or hands them to its
-        # own parser; the result must be what the two-pass parse_args gives:
-        # the same namespace, or the same exit code and bytes on stdout and
-        # stderr
+        # main builds a plain argument list's namespace itself and hands any
+        # other list to the top-level parser; the result must be what
+        # parse_args gives: the same namespace, or the same exit code and
+        # bytes on stdout and stderr
         got, expected = top_level_twin(capsys, monkeypatch)(argv)
         assert got == expected and got[0] in (0, 2)
         assert len(got) == 3 or got[:3] == (0, "", "")
@@ -879,25 +879,47 @@ class TestParser:
         assert 600 <= parsed <= 1800  # both outcomes are well represented
 
     @pytest.mark.parametrize(
-        "tokens",
+        "argv",
         [
-            pytest.param(["A275662", "--bfile", ""], id="empty-value"),
-            pytest.param(["h", "--b", "-2", "--n", "4"], id="negative-number"),
-            pytest.param(["h", "--b=2", "--n", "4"], id="option-with-equals"),
-            pytest.param(["h", "--b", "2", "--n", "4", "--b", "3"], id="repeated-option"),
-            pytest.param(["--b", "2", "h", "--n", "4"], id="option-first"),
-            pytest.param(["h", "--b", "two", "--n", "4"], id="not-an-int"),
-            pytest.param(["z", "--b", "2", "--n", "4"], id="out-of-choices"),
-            pytest.param(["h", "--b", "2"], id="required-option-missing"),
+            pytest.param(["oeis-check", "A275662", "--bfile", ""], id="empty-value"),
+            pytest.param(["count", "h", "--b", "-2", "--n", "4"], id="negative-number"),
+            pytest.param(["count", "h", "--b=2", "--n", "4"], id="option-with-equals"),
+            pytest.param(
+                ["count", "h", "--b", "2", "--n", "4", "--b", "3"], id="repeated-option"
+            ),
+            pytest.param(["count", "--b", "2", "h", "--n", "4"], id="option-first"),
+            pytest.param(["count", "h", "--b", "two", "--n", "4"], id="not-an-int"),
+            pytest.param(["count", "z", "--b", "2", "--n", "4"], id="out-of-choices"),
+            pytest.param(["count", "h", "--b", "2"], id="required-option-missing"),
+            pytest.param([], id="empty-list"),
+            pytest.param(["counts", "h", "--b", "2", "--n", "4"], id="unknown-command"),
+            pytest.param(
+                ["--b", "2", "count", "h", "--n", "4"], id="option-before-command"
+            ),
         ],
     )
-    def test_plain_args_leaves_the_rest_to_argparse(self, tokens):
-        name = "oeis-check" if tokens[0] == "A275662" else "count"
-        assert cli._plain_args(cli._parsers()[1][name], tokens) is None
+    def test_plain_args_leaves_the_rest_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_command_actions_each_store_one_value(self):
+        # _plain_args builds a namespace from single-value store actions
+        # only: a flag, a list or a counted option needs a parse it lacks,
+        # and a `command` dest would clash with the one it sets
+        sub, = (a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        for name, command in sub.choices.items():
+            for action in command._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                assert type(action) is argparse._StoreAction, (name, action.dest)
+                assert action.nargs is None and action.dest != "command", (
+                    name, action.dest
+                )
 
     def test_one_parse_per_call(self, capsys, monkeypatch):
         # a plain argument list is parsed with no argparse pass; any other
-        # one with a single pass, by the command's own parser
+        # one by the top-level parser, whose pass hands the command's tokens
+        # to that command's parser
         argv = ["count", "h", "--b", "2", "--n", "4"]
         main(argv)  # warm: the parser is built and the table is filled
         calls = []
@@ -911,7 +933,7 @@ class TestParser:
         assert main(argv) == 0
         assert calls == []
         assert main(["count", "h", "--b=2", "--n", "4"]) == 0
-        assert calls == ["dominotowers count"]
+        assert calls == ["dominotowers", "dominotowers count"]
         assert capsys.readouterr().out == f"{recurrences.h(2, 4)}\n" * 3
 
 

@@ -399,6 +399,17 @@ REGISTER = (
          "[negative-number]",),
     ),
     Mutant(
+        # the help action's dest then reaches the namespace, as its default
+        "plain-args-grammar-keeps-the-help-action",
+        "src/dominotowers/cli.py",
+        "[a for a in command._actions if not isinstance(a, argparse._HelpAction)]",
+        "command._actions",
+        (
+            "tests/test_cli.py::TestParser"
+            "::test_seeded_corpus_parses_as_the_top_level_parser",
+        ),
+    ),
+    Mutant(
         "enumerate-batch-drops-its-last-newline",
         "src/dominotowers/cli.py",
         '"\\n".join(batch) + "\\n"',
