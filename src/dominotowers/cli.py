@@ -177,14 +177,10 @@ def theta_table_rows(max_b: int, decimals: int) -> tuple[list[str], list[list[st
 
 
 def cmd_theta(args) -> int:
-    if args.max_b < 2:
-        raise ValueError("--max-b must be at least 2")
-    if args.max_b > THETA_MAX_B:
-        raise ValueError(f"--max-b must be at most {THETA_MAX_B}")
-    if args.decimals < 0:
-        raise ValueError("--decimals must be non-negative")
-    if args.decimals > THETA_MAX_DECIMALS:
-        raise ValueError(f"--decimals must be at most {THETA_MAX_DECIMALS}")
+    if not 2 <= args.max_b <= THETA_MAX_B:
+        raise ValueError(f"--max-b must be in 2..{THETA_MAX_B}")
+    if not 0 <= args.decimals <= THETA_MAX_DECIMALS:
+        raise ValueError(f"--decimals must be in 0..{THETA_MAX_DECIMALS}")
     header, rows = theta_table_rows(args.max_b, args.decimals)
     sys.stdout.write(render_table(header, rows, args.format))
     return 0
@@ -273,12 +269,8 @@ def _check(name: str, mismatches: list[str], summary: str) -> tuple[str, bool, s
 
 
 def cmd_verify(args) -> int:
-    if args.max_n < 1:
-        raise ValueError("--max-n must be at least 1")
-    if args.max_n > DEFAULT_HARD_CAP:
-        raise ValueError(
-            f"--max-n {args.max_n} exceeds the enumeration cap {DEFAULT_HARD_CAP}"
-        )
+    if not 1 <= args.max_n <= DEFAULT_HARD_CAP:
+        raise ValueError(f"--max-n must be in 1..{DEFAULT_HARD_CAP}")
     failed = False
     for name, passed, detail in run_verifications(args.max_n):
         status = "PASS" if passed else "FAIL"
@@ -297,8 +289,8 @@ def cmd_enumerate(args) -> int:
 def cmd_series(args) -> int:
     if not 0 <= args.order <= ORDER_CAP:
         raise ValueError(f"--order must be in 0..{ORDER_CAP}")
-    if args.b > ORDER_CAP:
-        raise ValueError(f"--b must be at most {ORDER_CAP}")
+    if not 1 <= args.b <= ORDER_CAP:
+        raise ValueError(f"--b must be in 1..{ORDER_CAP}")
     if args.method == series.CLOSED_FORM and args.family not in ("h", "r"):
         raise ValueError(f"--method {series.CLOSED_FORM} applies to h and r only")
     builders = {

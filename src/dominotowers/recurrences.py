@@ -50,6 +50,7 @@ Both grow one cell at a time; at k = 2 the (k-1) term is added unweighted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import add
@@ -164,14 +165,7 @@ def _running_sums(
             row[n : n + lag] = map(add, row[n : n + lag], row[n - lag : n])
 
 
-_tables: dict[tuple[str, int], CountTable] = {}
-
-
-def _table(family: str, k: int) -> CountTable:
-    key = (family, k)
-    if key not in _tables:
-        _tables[key] = CountTable(family, k)
-    return _tables[key]
+_table = functools.cache(CountTable)  # one table per (family, k)
 
 
 def g(b: int, n: int) -> int:
@@ -234,6 +228,8 @@ def rows(family: str, max_b: int, max_n: int, k: int = 2) -> list[list[int]]:
 
     A g, h or r row is the table's own list, read-only, and may run past max_n.
     """
+    if max_n < 0:
+        raise ValueError("max_n must be at least 0")
     if family == "c":
         _require_dominoes(k)
         return [_convex(b, range(max_n + 1)) for b in range(1, max_b + 1)]

@@ -15,6 +15,8 @@ def format_ratio(numerator: int, denominator: int, decimals: int) -> str:
     half away from zero to ``decimals`` places, fixed width."""
     if decimals < 0:
         raise ValueError("decimals must be non-negative")
+    if denominator <= 0:
+        raise ValueError("denominator must be positive")
     sign = "-" if numerator < 0 else ""
     units, rem = divmod(abs(numerator) * 10 ** decimals, denominator)
     if 2 * rem >= denominator:

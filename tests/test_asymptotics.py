@@ -307,6 +307,13 @@ class TestFormatRatio:
         with pytest.raises(ValueError):
             format_ratio(1, 1, -1)
 
+    @pytest.mark.parametrize(
+        "numerator, denominator, decimals", [(1, -2, 1), (-1, -3, 2), (5, -1, 0), (1, 0, 1)]
+    )
+    def test_denominator_must_be_positive(self, numerator, denominator, decimals):
+        with pytest.raises(ValueError, match="^denominator must be positive$"):
+            format_ratio(numerator, denominator, decimals)
+
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(
         value=st.one_of(

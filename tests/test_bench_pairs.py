@@ -44,3 +44,13 @@ def test_summary_gives_median_and_quartiles():
     assert summary["peak_rss_mb"] == {"unit": "MB", "median": 30.0, "q1": 30.0, "q3": 30.0}
     one = bench_pairs.summarize(runs[:1])["jobs_cpu_s"]
     assert one["median"] == one["q1"] == one["q3"] == 0.5
+
+
+def test_lower_counts_skip_ties():
+    before = [bench_pairs.last_json(canned(cpu, 30.0)) for cpu in (0.3, 0.2, 0.4, 0.2)]
+    after = [bench_pairs.last_json(canned(cpu, rss)) for cpu, rss in
+             ((0.2, 30.0), (0.1, 29.0), (0.5, 31.0), (0.2, 30.0))]
+    assert bench_pairs.lower_counts(before, after) == {
+        "before": {"jobs_cpu_s": 1, "peak_rss_mb": 1},
+        "after": {"jobs_cpu_s": 2, "peak_rss_mb": 1},
+    }

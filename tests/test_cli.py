@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import functools
 import hashlib
 import os
 import random
@@ -61,7 +62,7 @@ class TestCount:
         def refuse(*args):
             raise AssertionError("a table grew")
 
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         monkeypatch.setattr(recurrences.CountTable, "ensure", refuse)
         code, out, _ = run(capsys, "count", "c", "--b", "100000000", "--n", "5")
         assert code == 0 and out == "0\n"
@@ -77,7 +78,7 @@ class TestCount:
 
     @pytest.mark.parametrize("family, b", [("c", 2), ("r", 1)])
     def test_value_past_int_str_digit_limit(self, capsys, monkeypatch, family, b):
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         code, out, err = run(capsys, "count", family, "--b", str(b), "--n", "15000")
         assert code == 0 and err == ""
         assert len(out) > 4301
@@ -618,7 +619,7 @@ class TestSeries:
     def test_base_cap(self, capsys):
         code, out, err = run(capsys, "series", "h", "--b", "4097", "--order", "4")
         assert (code, out) == (2, "")
-        assert err == "error: --b must be at most 4096\n"
+        assert err == "error: --b must be in 1..4096\n"
         code, out, _ = run(capsys, "series", "h", "--b", "4096", "--order", "4")
         assert code == 0 and out == "0 0\n1 0\n2 0\n3 0\n4 0\n"
 
@@ -1216,15 +1217,53 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(("--n", "0"), "n must be at least 1", id="enum-n"),
-            pytest.param(("--n", "3", "--b", "0"), "b must be at least 1", id="enum-b"),
+            pytest.param(("enumerate", "--n", "0"), "n must be at least 1", id="enum-n"),
             pytest.param(
-                ("--n", "13"), "n=13 exceeds the enumeration cap 12", id="enum-cap"
+                ("enumerate", "--n", "3", "--b", "0"), "b must be at least 1", id="enum-b"
+            ),
+            pytest.param(
+                ("enumerate", "--n", "13"), "n=13 exceeds the enumeration cap 12",
+                id="enum-cap",
+            ),
+            # each end of each CLI range: one test, one message shape
+            pytest.param(("theta", "--max-b", "1"), "--max-b must be in 2..128", id="theta-b-low"),
+            pytest.param(
+                ("theta", "--max-b", "129"), "--max-b must be in 2..128", id="theta-b-high"
+            ),
+            pytest.param(
+                ("theta", "--max-b", "2", "--decimals", "-1"),
+                "--decimals must be in 0..1000", id="theta-decimals-low",
+            ),
+            pytest.param(
+                ("theta", "--max-b", "2", "--decimals", "1001"),
+                "--decimals must be in 0..1000", id="theta-decimals-high",
+            ),
+            pytest.param(("verify", "--max-n", "0"), "--max-n must be in 1..12", id="verify-low"),
+            pytest.param(
+                ("verify", "--max-n", "13"), "--max-n must be in 1..12", id="verify-high"
+            ),
+            pytest.param(
+                ("series", "h", "--b", "0"), "--b must be in 1..4096", id="series-b-low"
+            ),
+            pytest.param(
+                ("series", "h", "--b", "4097"), "--b must be in 1..4096", id="series-b-high"
+            ),
+            pytest.param(
+                ("series", "h", "--b", "2", "--order", "-1"),
+                "--order must be in 0..4096", id="series-order-low",
+            ),
+            pytest.param(
+                ("series", "h", "--b", "2", "--order", "4097"),
+                "--order must be in 0..4096", id="series-order-high",
+            ),
+            pytest.param(
+                ("table", "h", "--max-n", "0", "--max-b", "2"),
+                "table bounds must be in 1..4096", id="table-n-low",
             ),
         ],
     )
-    def test_enumerate_checks(self, capsys, argv, message):
-        assert run(capsys, "enumerate", *argv) == (2, "", f"error: {message}\n")
+    def test_bound_messages(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_only_the_bfile_errors_have_their_own_type(self):
         # every other bad argument is a plain ValueError, which main maps to 2

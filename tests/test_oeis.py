@@ -5,6 +5,7 @@ so the two sides of each check come from independent places: reference
 table cells on one side, recurrence values on the other.
 """
 
+import functools
 import sys
 
 import pytest
@@ -175,7 +176,8 @@ class TestCompare:
         else:
             assert skipped == kept
         for limit in READING_LIMITS:
-            monkeypatch.setattr(recurrences, "_tables", {})  # cold, as for the CLI
+            # cold tables, as for the CLI
+            monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
             assert oeis._readings(family, limit) == [
                 (name, terms[:limit]) for name, terms in named.items()
             ]
@@ -199,7 +201,7 @@ class TestCompare:
             "A117468": ("g", [recurrences.g(p + 1, n)
                               for n in range(1, 9) for p in range(1, n + 1)]),
         }
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         monkeypatch.setattr(recurrences.CountTable, "value", counting_value)
         monkeypatch.setattr(recurrences, "c", counting_c)
         for seq_id, (family, flat) in triangles.items():
@@ -244,7 +246,7 @@ class TestCompare:
             calls.append(args)
             return real(self, *args)
 
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         monkeypatch.setattr(recurrences.CountTable, "ensure", counting)
         result = compare_bfile("A034296", "partitions", bfile_text(totals))
         assert result.first_mismatch is None
@@ -261,7 +263,7 @@ class TestCompare:
             calls.append(args)
             return real(self, *args)
 
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         monkeypatch.setattr(recurrences.CountTable, "value", counting)
         result = compare_bfile("A034296", "partitions", bfile_text(totals))
         assert result.first_mismatch is None

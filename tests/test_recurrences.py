@@ -208,7 +208,7 @@ class TestTableMechanics:
     def test_stack_and_skew_tables_hold_only_their_values(self, monkeypatch):
         # h and r at 200 x 200 hold about 2.1 MiB of big ints: the bound admits
         # the values but not a second big-int row beside each value row
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         tracemalloc.start()
         try:
             recurrences._table("h", 2).ensure(200, 200)
@@ -224,11 +224,16 @@ class TestTableMechanics:
         with pytest.raises(ValueError):
             recurrences.family_value("x", 1, 1)
 
+    @pytest.mark.parametrize("family", ["g", "h", "r", "c"])
+    def test_rows_refuse_a_negative_max_n(self, family):
+        with pytest.raises(ValueError, match="^max_n must be at least 0$"):
+            recurrences.rows(family, 2, -1)
+
 
 class TestAgainstDocstringRecurrences:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_interleaved_growth_matches_reference(self, monkeypatch, k):
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         ref = reference_tables(k)
         # the r table reads the shared h table, which the test grows too
         tables = {"g": CountTable("g", k), "r": CountTable("r", k)}
@@ -256,7 +261,7 @@ class TestAgainstDocstringRecurrences:
         # g sums new cells one by one below 8 of them, per class mod b - 1
         # when (b - 1)^2 is below their number, else per block of b - 1; the
         # steps straddle each switch, starting from the row's first column
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         ref = reference_tables(k)[family]
         ref_rows = [
             [ref.get((b, n), 0) for n in range(REF_MAX_N + 1)]
@@ -279,7 +284,7 @@ class TestAgainstDocstringRecurrences:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_table_extracts_match_reference(self, monkeypatch, k):
         # later extracts read rows an earlier, differently shaped one grew
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         ref = reference_tables(k)
         for max_n, max_b in [(5, 12), (60, 40), (30, 40), (200, 3)]:
             for family in "ghr":
@@ -289,7 +294,7 @@ class TestAgainstDocstringRecurrences:
                 ], (family, max_n, max_b)
 
     def test_convex_reads_match_reference(self, monkeypatch):
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         ref = reference_convex()
         reads = {"g": g, "h": h, "r": r, "c": c}
         known = {**reference_tables(2), "c": ref}
@@ -306,7 +311,7 @@ class TestAgainstDocstringRecurrences:
                 assert c(b, n) == ref.get((b, n), 0), (b, n)
 
     def test_convex_table_extracts_match_reference(self, monkeypatch):
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         ref = reference_convex()
         for max_n, max_b in [(5, 30), (60, 40), (200, 3), (1, 1), (1, 5)]:
             assert table("c", max_n, max_b) == [
@@ -318,7 +323,7 @@ class TestAgainstDocstringRecurrences:
         def refuse(*args):
             raise AssertionError(f"c({b}, {n}) grew a table")
 
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         monkeypatch.setattr(CountTable, "ensure", refuse)
         assert c(b, n) == 0
 
@@ -364,20 +369,20 @@ class TestGrowthCost:
     longer extensions per class or block; nothing is rebuilt."""
 
     def test_cold_convex_walk(self, monkeypatch):
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         start = time.process_time()
         c(6, 2000)
         assert time.process_time() - start < 1.0
 
     def test_convex_table(self, monkeypatch):
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         start = time.process_time()
         table("c", 200, 200)
         assert time.process_time() - start < 1.0
 
     def test_partition_totals_walk(self, monkeypatch):
         # partition totals read cell by cell from a cold table
-        monkeypatch.setattr(recurrences, "_tables", {})
+        monkeypatch.setattr(recurrences, "_table", functools.cache(recurrences.CountTable))
         start = time.process_time()
         for n in range(1, 301):
             sum(g(b, n) for b in range(2, n + 2))

@@ -10,10 +10,11 @@ under ``src/`` so that both sides start cold.  Pair i runs
 BEFORE first when i is even and AFTER first when i is odd, each run from its
 own checkout's root so that it times that checkout's ``src/``.  The last line
 of a run's stdout is one JSON object (see ``bench/run.py``); the file keeps
-every such object, and per side each metric's median and quartiles and the
-failed job counts.  It records each checkout's commit, whether its tracked
-files differ from that commit, and a digest of its ``src/``, with the Python
-version and ``os.cpu_count()``.  Nothing under ``bench/`` is edited.
+every such object, and per side each metric's median and quartiles, the
+failed job counts and, per metric, the number of pairs in which that side
+read lower (a tie counts for neither side).  It records each checkout's
+commit, whether its tracked files differ from that commit, and a digest of
+its ``src/``, with the Python version and ``os.cpu_count()``.  Nothing under ``bench/`` is edited.
 Standard library only.
 """
 
@@ -56,6 +57,18 @@ def summarize(runs: list[dict]) -> dict:
             "q3": q3,
         }
     return out
+
+
+def lower_counts(before: list[dict], after: list[dict]) -> dict:
+    """Per side, per metric, the pairs in which that side read lower; a tie
+    counts for neither side."""
+    counts = {side: dict.fromkeys(before[0]["metrics"], 0) for side in SIDES}
+    for pair in zip(before, after):
+        for name in counts["before"]:
+            b, a = (run["metrics"][name]["value"] for run in pair)
+            if b != a:
+                counts["before" if b < a else "after"][name] += 1
+    return counts
 
 
 def git(tree: Path, *args: str) -> str | None:
@@ -120,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                 side: {
                     "failed": [run["failed"] for run in sides[side]],
                     "summary": summarize(sides[side]),
+                    "lower_in_pairs": lower_counts(sides["before"], sides["after"])[side],
                     "runs": sides[side],
                 }
                 for side in SIDES

@@ -100,6 +100,17 @@ REGISTER = (
         ("tests/test_asymptotics.py::TestLimitConstant::test_one_digit_at_least",),
     ),
     Mutant(
+        # a negative or zero denominator then prints a doubled or stray sign
+        "format-ratio-denominator-guard-dropped",
+        "src/dominotowers/render.py",
+        '    if denominator <= 0:\n        raise ValueError("denominator must be positive")\n',
+        "",
+        (
+            "tests/test_asymptotics.py::TestFormatRatio"
+            "::test_denominator_must_be_positive",
+        ),
+    ),
+    Mutant(
         "oeis-leading-zero-reading-inverted",
         "src/dominotowers/oeis.py",
         "if not kept[0]:",
@@ -289,6 +300,17 @@ REGISTER = (
         ),
     ),
     Mutant(
+        # c then raises IndexError at max_n = -1, and g, h and r return empty rows
+        "rows-negative-max-n-guard-dropped",
+        "src/dominotowers/recurrences.py",
+        '    if max_n < 0:\n        raise ValueError("max_n must be at least 0")\n',
+        "",
+        (
+            "tests/test_recurrences.py::TestTableMechanics"
+            "::test_rows_refuse_a_negative_max_n",
+        ),
+    ),
+    Mutant(
         # a domino may then no longer stand one cell left of the one below it
         "level-sets-support-loses-its-left-offset",
         "src/dominotowers/enumerator.py",
@@ -408,6 +430,23 @@ REGISTER = (
             "tests/test_cli.py::TestParser"
             "::test_seeded_corpus_parses_as_the_top_level_parser",
         ),
+    ),
+    Mutant(
+        # series._check still refuses b = 0 and exits 2, but its message
+        # names no flag
+        "series-base-floor-left-to-the-library",
+        "src/dominotowers/cli.py",
+        "1 <= args.b",
+        "0 <= args.b",
+        ("tests/test_cli.py::TestExitCodes::test_bound_messages[series-b-low]",),
+    ),
+    Mutant(
+        # theta --max-b 1 then prints an empty table and exits 0
+        "theta-max-b-floor-one-low",
+        "src/dominotowers/cli.py",
+        "2 <= args.max_b",
+        "1 <= args.max_b",
+        ("tests/test_cli.py::TestExitCodes::test_bound_messages[theta-b-low]",),
     ),
     Mutant(
         "enumerate-batch-drops-its-last-newline",
