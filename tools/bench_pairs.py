@@ -14,8 +14,8 @@ every such object, and per side each metric's median and quartiles, the
 failed job counts and, per metric, the number of pairs in which that side
 read lower (a tie counts for neither side).  It records each checkout's
 commit, whether its tracked files differ from that commit, and a digest of
-its ``src/``, with the Python version and ``os.cpu_count()``.  Nothing under ``bench/`` is edited.
-Standard library only.
+its ``src/``, with the Python version and ``os.cpu_count()``.  Nothing
+under ``bench/`` is edited.  Standard library only.
 """
 
 from __future__ import annotations
