@@ -71,7 +71,10 @@ class TowerShape(tuple):
     @classmethod
     def from_levels(cls, levels: Levels) -> "TowerShape":
         """Shape from sorted levels, translated so the smallest left cell is 0."""
-        shift = min(map(itemgetter(0), filter(None, levels)))
+        try:
+            shift = min(map(itemgetter(0), filter(None, levels)))
+        except ValueError:  # every level is empty
+            raise ValueError("a tower shape needs at least one domino") from None
         # the constructor's work, without its Python-level call
         if shift:
             return tuple.__new__(cls, [tuple([x - shift for x in row]) for row in levels])

@@ -2,10 +2,11 @@
 
 Every generating function used here is a sum of products of geometric
 factors x^a / (1 - lam*x^a) with lam in {1, 2}.  Multiplying by one is the
-O(N) filter out[n] = s[n-a] + lam*out[n-a] (`_filter`), the only product:
-nothing needs rational coefficients or polynomial division.  At lam = 1 it
-is a running sum along each residue class mod a, run in C as one
-`accumulate` per class or one `map(add)` per block of a coefficients.
+O(N) filter out[n] = s[n-a] + lam*out[n-a] (`_filter`: a shift, then the
+in-place division `_divide`), the only product: nothing needs rational
+coefficients.  At lam = 1 the division is a running sum along each residue
+class mod a, run in C as one `accumulate` per class or one `map(add)` per
+block of a coefficients.
 
 The builders run on plain coefficient lists, one fused pass per filter input
 and per running-sum update, and wrap the result in a `TruncatedSeries` once.
@@ -17,12 +18,27 @@ equation carries running sums, three passes per stack base; it is the
 production route, and the closed forms cross-check it.  It keeps the paper's
 sums over smaller bases on purpose: the `recurrences` tables grow by diagonal
 differences, so the two routes share no formulation.
+
+Rational form.  Each functional chain loops over its own filters, (a, lam)
+pairs, and Q = prod (1 - lam*x^a) over the filters of a family's chains is
+its denominator, of degree D, the sum of the a: G_b filters by a = 1..b-1
+(D = b(b-1)/2), H_b by a = 1..b (D = b(b+1)/2), R_b by those and by (a, 2)
+for a = 1..b (D = b(b+1)), C_b by the filters of R_b and of G_b
+(D = (3b^2+b)/2).  Each summand of a series F is x^e over prod (1 - lam*x^a)
+for some of its filters, with e at most the sum of their a, so F*Q = P is a
+polynomial of degree at most D.  From order 2D, `_extended` runs the chain
+only to D, forms P = F*Q mod x^(D+1) one factor at a time, pads it to the
+order and divides it by each factor: one pass over the order per factor,
+where the chain makes two to seven per base.  Below 2D the product and the
+divisions cost more than the chain they save, and the chain runs to the
+order.  The closed forms use neither the chain nor `_extended`, so they
+still check both; the tests check the degree bound on the chains alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add
 
 CLOSED_FORM = "closed-form"
@@ -50,21 +66,51 @@ class TruncatedSeries(tuple):
     __mul__ = __rmul__ = __add__
 
 
-def _filter(a: int, lam: int, coeffs) -> list[int]:
-    """coeffs times x^a / (1 - lam*x^a): shift by a, then out[n] += lam*out[n-a],
-    at lam = 1 as running sums per class (if a*a < len) or per block of a."""
-    out = [0] * min(a, len(coeffs))
-    out += coeffs[: len(coeffs) - len(out)]
+def _divide(a: int, lam: int, out: list[int], start: int) -> None:
+    """out divided by 1 - lam*x^a in place from index start on: out[n] += lam*out[n-a]
+    for n >= start, at lam = 1 as running sums per class (if a*a < len) or per
+    block of a.  Entries below start stay: out[start-a:] is divided as a series
+    of its own."""
     if lam != 1:
-        for n in range(2 * a, len(out)):
+        for n in range(start, len(out)):
             out[n] += lam * out[n - a]
     elif a * a < len(out):
-        for r in range(a, 2 * a):
+        for r in range(start - a, start):
             out[r::a] = accumulate(out[r::a])
     else:
-        for n in range(2 * a, len(out), a):
+        for n in range(start, len(out), a):
             out[n : n + a] = map(add, out[n : n + a], out[n - a : n])
+
+
+def _filter(a: int, lam: int, coeffs) -> list[int]:
+    """coeffs times x^a / (1 - lam*x^a): shift by a, then divide from 2a, as
+    out[a:2a] has nothing a places below it."""
+    out = [0] * min(a, len(coeffs))
+    out += coeffs[: len(coeffs) - len(out)]
+    _divide(a, lam, out, 2 * a)
     return out
+
+
+def _extended(chain, filters, b: int, order: int) -> list[int]:
+    """chain(order), the coefficients of F = P/Q with Q = prod (1 - lam*x^a) over
+    the pairs (a, lam) that each function in filters yields for b, and
+    deg P <= D = sum of the a.  From order 2D the chain runs only to D;
+    P = F*Q mod x^(D+1) is formed one factor at a time, in place, padded to
+    the order and divided by each factor again.  The pairs are listed only
+    then: below 2D a large b would hold them through the whole chain."""
+    degree = sum(a for pairs in filters for a, _ in pairs(b))
+    if order < 2 * degree:
+        return chain(order)
+    factors = [pair for pairs in filters for pair in pairs(b)]
+    p = chain(degree)
+    for a, lam in factors:
+        p[a:] = [v - lam * w for v, w in zip(p[a:], p)]
+    p += [0] * (order - degree)
+    # lam = 1 first, then lam = 2 from the largest a down: the coefficients
+    # grow like lam^(n/a), so the largest meet only the last divisions
+    for a, lam in sorted(factors, key=lambda f: (f[1], -f[0])):
+        _divide(a, lam, p, a)
+    return p
 
 
 def _check(b: int, order: int, method: str = FUNCTIONAL) -> None:
@@ -80,16 +126,21 @@ def _check(b: int, order: int, method: str = FUNCTIONAL) -> None:
         )
 
 
+def _supports(b: int):
+    """G_b's filters (a, lam) in chain order: x^(b-j)/(1-x^(b-j)) for j = 1..b-1."""
+    return zip(range(b - 1, 0, -1), repeat(1))
+
+
 def _supporting_chain(b: int, s: list[int], total: list[int]) -> list[int]:
     """total + G_b * s, G_b * s = sum_{i<b} s * prod_{j<=i} x^(b-j)/(1-x^(b-j)).
 
     Once the shifts sum to len(s) the product is zero and the loop stops."""
     shift = 0
-    for j in range(1, b):
-        shift += b - j
+    for a, lam in _supports(b):
+        shift += a
         if shift >= len(s):
             break
-        s = _filter(b - j, 1, s)
+        s = _filter(a, lam, s)
         total = [t + v for t, v in zip(total, s)]
     return total
 
@@ -100,8 +151,8 @@ def build_G(b: int, order: int) -> TruncatedSeries:
     b=1 is the empty sum, the zero series.
     """
     _check(b, order)
-    one = [1] + [0] * order
-    return TruncatedSeries(_supporting_chain(b, one, [0] * (order + 1)))
+    chain = lambda n: _supporting_chain(b, [1] + [0] * n, [0] * (n + 1))
+    return TruncatedSeries(_extended(chain, (_supports,), b, order))
 
 
 def _subset_sum(term: list[int], shift: int, low: int, above: int, lam: int, weight, total):
@@ -133,26 +184,43 @@ def _closed_H(b: int, order: int) -> list[int]:
     return _filter(b, 1, total + [0] * (order + 1 - size))
 
 
+def _stack_filters(b: int):
+    """The stack chain's filters (a, lam): x^i/(1-x^i) for i = 1..b."""
+    return zip(range(1, b + 1), repeat(1))
+
+
+def _skew_filters(b: int):
+    """The skew chain's filters (a, lam): x^i/(1-2x^i) for i = 1..b."""
+    return zip(range(1, b + 1), repeat(2))
+
+
 def _stacks(b: int, order: int):
     """Yield H_1..H_b from H_i = x^i/(1-x^i) * T_i, T_i = 1 + sum_{j<i} (2(i-j)+1) H_j,
     carried as T_{i+1} = T_i + 2U_{i+1} + H_i with U_{i+1} = U_i + H_i, U_1 = 0;
     no carry follows H_b."""
     total, below = [1] + [0] * order, [0] * (order + 1)
-    for i in range(1, b + 1):
-        h = _filter(i, 1, total)
+    for i, lam in _stack_filters(b):
+        h = _filter(i, lam, total)
         yield h
         if i < b:
             below = [u + v for u, v in zip(below, h)]
             total = [t + 2 * u + v for t, u, v in zip(total, below, h)]
 
 
+def _stack(b: int, order: int) -> list[int]:
+    """H_b."""
+    for h in _stacks(b, order):  # keep one H_i alive at a time, not all b
+        pass
+    return h
+
+
 def _stack_and_skew(b: int, order: int) -> tuple[list[int], list[int]]:
     """(H_b, R_b) from R_i = x^i/(1-2x^i) * (H_i + S_i), S_i = sum_{j<i} (2R_j + H_j),
     carrying the filter input: H_{i+1} + S_{i+1} = H_{i+1} + (H_i + S_i) + 2R_i."""
     given = r = [0] * (order + 1)
-    for i, h in enumerate(_stacks(b, order), start=1):
+    for (i, lam), h in zip(_skew_filters(b), _stacks(b, order)):
         given = [v + g + 2 * x for v, g, x in zip(h, given, r)]
-        r = _filter(i, 2, given)
+        r = _filter(i, lam, given)
     return h, r
 
 
@@ -161,9 +229,7 @@ def build_H(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     _check(b, order, method)
     if method == CLOSED_FORM:
         return TruncatedSeries(_closed_H(b, order))
-    for h in _stacks(b, order):  # keep one H_i alive at a time, not all b
-        pass
-    return TruncatedSeries(h)
+    return TruncatedSeries(_extended(lambda n: _stack(b, n), (_stack_filters,), b, order))
 
 
 def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
@@ -175,16 +241,22 @@ def build_R(b: int, order: int, method: str = FUNCTIONAL) -> TruncatedSeries:
     """
     _check(b, order, method)
     if method == FUNCTIONAL:
-        return TruncatedSeries(_stack_and_skew(b, order)[1])
+        filters = (_stack_filters, _skew_filters)
+        return TruncatedSeries(_extended(lambda n: _stack_and_skew(b, n)[1], filters, b, order))
     total = [0] * max(order + 1 - b, 0)  # summed below the outer factor x^b
     for j in range(1, min(b, order - b) + 1):  # H_j lies at x^j and up
         _subset_sum(_closed_H(j, order - b)[j:], j, j, b, 2, lambda up, k: 2, total)
     return TruncatedSeries(_filter(b, 2, total + [0] * (order + 1 - len(total))))
 
 
+def _convex(b: int, order: int) -> list[int]:
+    h, r = _stack_and_skew(b, order)
+    right = [2 * x + v for x, v in zip(r, h)]
+    return _supporting_chain(b, right, right)
+
+
 def build_C(b: int, order: int) -> TruncatedSeries:
     """Convex-tower series: (G + 1) * (2R + H), with G applied as its chain."""
     _check(b, order)
-    h, r = _stack_and_skew(b, order)
-    right = [2 * x + v for x, v in zip(r, h)]
-    return TruncatedSeries(_supporting_chain(b, right, right))
+    filters = (_stack_filters, _skew_filters, _supports)
+    return TruncatedSeries(_extended(lambda n: _convex(b, n), filters, b, order))

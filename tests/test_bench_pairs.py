@@ -54,3 +54,25 @@ def test_lower_counts_skip_ties():
         "before": {"jobs_cpu_s": 1, "peak_rss_mb": 1},
         "after": {"jobs_cpu_s": 2, "peak_rss_mb": 1},
     }
+
+
+def test_claim_lines_apply_the_rule():
+    # jobs_cpu_s: after lower in 9 of 10 pairs, medians 0.0745 apart against
+    # a before spread of 0.0045: met.  peak_rss_mb: lower in all 10, but the
+    # medians are 0.1 apart against a spread of 0.5: not met
+    cpus = [(0.10 + 0.001 * i, 0.03 if i else 0.2) for i in range(10)]
+    rss = [(30.0 + (i % 2), 29.9 + (i % 2)) for i in range(10)]
+    sides = {
+        side: [bench_pairs.last_json(canned(cpu[k], mb[k])) for cpu, mb in zip(cpus, rss)]
+        for k, side in enumerate(bench_pairs.SIDES)
+    }
+    report = {"pairs": 10, "workloads": {"series": bench_pairs.workload_report(sides)}}
+    assert report["workloads"]["series"]["after"]["lower_in_pairs"] == {
+        "jobs_cpu_s": 9, "peak_rss_mb": 10
+    }
+    assert bench_pairs.claim_lines(report) == [
+        "series jobs_cpu_s: before 0.1045 [0.1023, 0.1068], after 0.03 [0.03, 0.03] s,"
+        " -71.3 %, after lower in 9 of 10 pairs, claim rule met",
+        "series peak_rss_mb: before 30.5 [30, 31], after 30.4 [29.9, 30.9] MB,"
+        " -0.3 %, after lower in 10 of 10 pairs, claim rule not met",
+    ]

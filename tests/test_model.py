@@ -195,8 +195,9 @@ class TestShapeRecord:
             shift = 2 if levels[0] else 0
             assert t == tuple(tuple(x - shift for x in row) for row in levels)
             assert all(type(row) is tuple for row in t)
-        with pytest.raises(ValueError):
-            TowerShape.from_levels(((), ()))
+        for levels in ((), ((), ())):
+            with pytest.raises(ValueError, match="^a tower shape needs at least one domino$"):
+                TowerShape.from_levels(levels)
 
 
 class TestSupportRule:

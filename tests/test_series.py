@@ -12,6 +12,8 @@ from dominotowers.series import (
     FUNCTIONAL,
     MAX_CLOSED_FORM_B,
     TruncatedSeries,
+    _divide,
+    _extended,
     _filter,
     build_C,
     build_G,
@@ -37,6 +39,37 @@ def naive_apply(a, lam, s):
         for n in range(a * j, order + 1):
             out[n] += weight * s[n - a * j]
     return tuple(out)
+
+
+def naive_divide(a, lam, s, start):
+    """s from index start on, each out[n] the literal sum of lam^j * s[n - a*j]
+    over the j >= 0 with n - a*j >= start - a."""
+    out = list(s)
+    for n in range(start, len(s)):
+        out[n] = sum(lam**j * s[n - a * j] for j in range((n - start) // a + 2))
+    return tuple(out)
+
+
+def naive_times(a, lam, s):
+    """s times 1 - lam*x^a, truncated to len(s)."""
+    return tuple(v - (lam * s[n - a] if n >= a else 0) for n, v in enumerate(s))
+
+
+BUILDERS = {"g": build_G, "h": build_H, "r": build_R, "c": build_C}
+
+
+def denominator(family, b):
+    """The factors (a, lam) of Q_b, prod (1 - lam*x^a), as the paper's
+    products give them: (G + 1) * (2R + H) multiplies the two denominators."""
+    g = [(a, 1) for a in range(1, b)]
+    h = [(a, 1) for a in range(1, b + 1)]
+    r = h + [(a, 2) for a in range(1, b + 1)]
+    return {"g": g, "h": h, "r": r, "c": r + g}[family]
+
+
+def degree(family, b):
+    """D, the degree of Q_b: the sum of its factors' a."""
+    return sum(a for a, _ in denominator(family, b))
 
 
 def subsets(members):
@@ -149,13 +182,18 @@ class TestGeometricFactor:
     @pytest.mark.parametrize("a", range(1, 13))
     def test_apply_across_forms(self, a):
         # a*a < len runs one running sum per class, else one per block; the
-        # lengths straddle that switch, the last partial block and len < a
+        # lengths straddle that switch, the last partial block and len < a.
+        # _divide starts at a for the rational form and at 2a for _filter
         rng = random.Random(a)
         lengths = {1, 2, a - 1, a, a * a - 1, a * a, a * a + 1, 3 * a, 3 * a + 1}
         for length in sorted(n for n in lengths if n >= 1):
             for lam in (1, 2, 3):
                 s = random_coeffs(rng, length - 1)
                 assert tuple(_filter(a, lam, s)) == naive_apply(a, lam, s)
+                for start in (a, 2 * a):
+                    out = list(s)
+                    _divide(a, lam, out, start)
+                    assert tuple(out) == naive_divide(a, lam, s, start)
 
 
 class TestBuilders:
@@ -200,9 +238,10 @@ class TestBuilders:
 
     def test_methods_agree(self):
         # the subset walk stops at the order and sums below the outer factor
-        # x^b, so every order up to b + 3 meets one of its boundaries
+        # x^b, so every order up to b + 3 meets one of its boundaries; at
+        # order 120 every functional build with b <= 6 is past 2D, so P/Q
         for b in range(1, MAX_CLOSED_FORM_B + 1):
-            for order in (*range(b + 4), 30):
+            for order in (*range(b + 4), 30, *[120] * (b <= 6)):
                 assert build_H(b, order, CLOSED_FORM) == build_H(b, order, FUNCTIONAL)
                 assert build_R(b, order, CLOSED_FORM) == build_R(b, order, FUNCTIONAL)
 
@@ -290,11 +329,66 @@ class TestBuilders:
             build(*args)
 
 
+class TestRationalForm:
+    """From order 2D a functional build is P/Q: the chain run to D, times Q,
+    then divided by each of Q's factors over the order."""
+
+    @pytest.mark.parametrize("b", range(1, 11))
+    def test_builders_match_recurrences_around_twice_the_degree(self, b):
+        for family, build in BUILDERS.items():
+            d = degree(family, b)
+            top = max(2 * d + 1, 600)
+            values = [recurrences.family_value(family, b, n) for n in range(top + 1)]
+            for order in (2 * d - 1, 2 * d, 2 * d + 1, 600):
+                if order >= 0:
+                    assert build(b, order) == tuple(values[: order + 1])
+
+    @pytest.mark.parametrize("family", BUILDERS)
+    def test_chain_times_denominator_stops_at_the_degree(self, family):
+        # the premise of the extension, read off the chains themselves: each
+        # F_b * Q_b is a polynomial of degree at most D
+        chains = {
+            "g": lambda b, n: series._supporting_chain(b, [1] + [0] * n, [0] * (n + 1)),
+            "h": series._stack,
+            "r": lambda b, n: series._stack_and_skew(b, n)[1],
+            "c": series._convex,
+        }
+        for b in range(1, 11):
+            d = degree(family, b)
+            twice = {"g": b * (b - 1), "h": b * (b + 1), "r": 2 * b * (b + 1), "c": 3 * b * b + b}
+            assert 2 * d == twice[family]
+            product = tuple(chains[family](b, d + 40))
+            for a, lam in denominator(family, b):
+                product = naive_times(a, lam, product)
+            assert product[d + 1 :] == (0,) * 40
+
+    def test_extension_divides_from_the_constant_term(self):
+        # every family's series starts past x^0, so its P(0) is 0; this P(0)
+        # is not, and each division must reach index a.  The factors cover
+        # lam = 2 and both lam = 1 forms (a*a < len and not) at order 50
+        rng = random.Random(1608)
+        factors = [(8, 1), (1, 2), (2, 1), (3, 1)]
+        d = sum(a for a, _ in factors)
+        numerator = [rng.randint(1, 9) for _ in range(d + 1)]
+
+        def chain(n):
+            s = (numerator + [0] * n)[: n + 1]
+            for a, lam in factors:
+                s = naive_divide(a, lam, s, a)
+            return list(s)
+
+        for order in (0, d, 2 * d - 1, 2 * d, 2 * d + 1, 50):
+            assert _extended(chain, (lambda b: factors,), 0, order) == chain(order)
+
+
 def count_filters(monkeypatch):
-    """A list that gains one entry per `series._filter` call."""
+    """A list that gains one entry per `series._filter` call: the length of
+    the coefficient list it filters."""
     calls = []
     real = series._filter
-    monkeypatch.setattr(series, "_filter", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(
+        series, "_filter", lambda *args: calls.append(len(args[2])) or real(*args)
+    )
     return calls
 
 
@@ -323,6 +417,18 @@ class TestBuildCost:
         calls = count_filters(monkeypatch)
         build_H(12, 20, CLOSED_FORM)
         assert len(calls) == 1 + inside == 25
+
+    @pytest.mark.parametrize("family", BUILDERS)
+    def test_rational_form_filters_only_up_to_the_degree(self, monkeypatch, family):
+        # from order 2D the chain runs to D, and the divisions over the order
+        # call _divide directly
+        calls = count_filters(monkeypatch)
+        for b in (2, 5, 8):
+            d = degree(family, b)
+            for order in (2 * d, 4096):
+                calls.clear()
+                BUILDERS[family](b, order)
+                assert calls and max(calls) == d + 1
 
     def test_closed_form_skew_filters_only_subsets_inside_the_order(self, monkeypatch):
         # 54 filters, where a filter per subset of every H_j walk runs 8179

@@ -16,6 +16,12 @@ read lower (a tie counts for neither side).  It records each checkout's
 commit, whether its tracked files differ from that commit, and a digest of
 its ``src/``, with the Python version and ``os.cpu_count()``.  Nothing
 under ``bench/`` is edited.  Standard library only.
+
+After the runs it prints one line per workload and metric: each side's
+median and quartiles, the change in %, the pairs in which AFTER read lower,
+and whether the claim rule is met.  Every metric of a bench run is better
+lower, so the rule reads: AFTER lower in at least nine tenths of the pairs,
+and its median below BEFORE's by more than BEFORE's q3 - q1.
 """
 
 from __future__ import annotations
@@ -69,6 +75,45 @@ def lower_counts(before: list[dict], after: list[dict]) -> dict:
             if b != a:
                 counts["before" if b < a else "after"][name] += 1
     return counts
+
+
+def workload_report(sides: dict) -> dict:
+    """Per side: failed job counts, summary, pairs read lower, and the runs."""
+    lower = lower_counts(sides["before"], sides["after"])
+    return {
+        side: {
+            "failed": [run["failed"] for run in sides[side]],
+            "summary": summarize(sides[side]),
+            "lower_in_pairs": lower[side],
+            "runs": sides[side],
+        }
+        for side in SIDES
+    }
+
+
+def claim_met(before: dict, after: dict, lower: int, pairs: int) -> bool:
+    """AFTER lower in nine tenths of the pairs, and its median below BEFORE's
+    by more than BEFORE's quartile spread."""
+    spread = before["q3"] - before["q1"]
+    return 10 * lower >= 9 * pairs and before["median"] - after["median"] > spread
+
+
+def claim_lines(report: dict) -> list[str]:
+    """One line per workload and metric of a report that `main` writes."""
+    pairs, lines = report["pairs"], []
+    for workload, sides in report["workloads"].items():
+        for name, before in sides["before"]["summary"].items():
+            after = sides["after"]["summary"][name]
+            lower = sides["after"]["lower_in_pairs"][name]
+            change = 100 * (after["median"] / before["median"] - 1)
+            verdict = "met" if claim_met(before, after, lower, pairs) else "not met"
+            lines.append(
+                f"{workload} {name}: before {before['median']:.4g} [{before['q1']:.4g},"
+                f" {before['q3']:.4g}], after {after['median']:.4g} [{after['q1']:.4g},"
+                f" {after['q3']:.4g}] {before['unit']}, {change:+.1f} %, after lower in"
+                f" {lower} of {pairs} pairs, claim rule {verdict}"
+            )
+    return lines
 
 
 def git(tree: Path, *args: str) -> str | None:
@@ -128,20 +173,10 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "pairs": args.pairs,
         "first_in_pair": [SIDES[i % 2] for i in range(args.pairs)],
-        "workloads": {
-            workload: {
-                side: {
-                    "failed": [run["failed"] for run in sides[side]],
-                    "summary": summarize(sides[side]),
-                    "lower_in_pairs": lower_counts(sides["before"], sides["after"])[side],
-                    "runs": sides[side],
-                }
-                for side in SIDES
-            }
-            for workload, sides in runs.items()
-        },
+        "workloads": {workload: workload_report(sides) for workload, sides in runs.items()},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(claim_lines(report)))
     return 0
 
 

@@ -54,6 +54,37 @@ REGISTER = (
         ("tests/test_series.py::TestBuilders::test_methods_agree",),
     ),
     Mutant(
+        # R_b's chain then stops at R_(b-1), and Q loses (1 - 2x^b) with it
+        "skew-filters-drop-the-last-factor",
+        "src/dominotowers/series.py",
+        "zip(range(1, b + 1), repeat(2))",
+        "zip(range(1, b), repeat(2))",
+        ("tests/test_series.py::TestBuilders::test_series_match_recurrences",),
+    ),
+    Mutant(
+        # P is then F times prod (1 - lam*x^(a-1)), no polynomial
+        "rational-form-product-starts-one-degree-low",
+        "src/dominotowers/series.py",
+        "p[a:] = [v - lam * w for v, w in zip(p[a:], p)]",
+        "p[a - 1 :] = [v - lam * w for v, w in zip(p[a - 1 :], p)]",
+        (
+            "tests/test_series.py::TestRationalForm"
+            "::test_builders_match_recurrences_around_twice_the_degree",
+        ),
+    ),
+    Mutant(
+        # equivalent on the four families, whose P(0) is 0: only a numerator
+        # with a constant term shows the lost lam * P(0) at x^a
+        "rational-form-divides-from-a-plus-one",
+        "src/dominotowers/series.py",
+        "_divide(a, lam, p, a)",
+        "_divide(a, lam, p, a + 1)",
+        (
+            "tests/test_series.py::TestRationalForm"
+            "::test_extension_divides_from_the_constant_term",
+        ),
+    ),
+    Mutant(
         "series-empty-guard-dropped",
         "src/dominotowers/series.py",
         '        if not self:\n'
